@@ -677,18 +677,25 @@ def _cmd_characterize(args) -> int:
     obs = ObsConfig(metrics=True) if args.metrics_out else None
     trial_metrics: List[Dict[str, Any]] = []
     with RuntimeSession(ExecutionConfig.from_args(args)) as session:
+        cache = session.pipeline
         character = characterize_scenario_parallel(
             scenario, seed=args.seed, trials=args.trials,
             executor=session.scheduler(), obs=obs,
             trial_metrics=trial_metrics)
         table = character.render()
         print(table)
+        if cache is not None:
+            # stderr, as for check and fuzz: stdout stays byte-identical
+            # however warm the cache is.
+            print(cache.render_summary(), file=sys.stderr)
         if args.run_dir:
             record = session.record(command_ledger_record(
                 command="characterize", scenarios=[scenario.name],
                 seed=args.seed, wall_s=session.wall_s(),
-                scheduler=session.scheduler(), output=table,
-                status="ok"))
+                scheduler=session.scheduler(),
+                cache={"hits": cache.hits, "misses": cache.misses}
+                if cache is not None else None,
+                output=table, status="ok"))
             print(f"appended run manifest to {session.ledger().path} "
                   f"(schema {record['schema']})")
     _write_obs_outputs(trial_metrics, args.metrics_out, None)

@@ -3,8 +3,9 @@
 Everything backend-agnostic lives here — the logic that used to be
 interleaved with trial code in ``validation/parallel.py``:
 
-* **cache-first submission** — fingerprinted jobs are looked up in the
-  attached :class:`~repro.pipeline.Pipeline` before they are submitted
+* **cache-first submission** — fingerprinted jobs are looked up in a
+  :class:`~repro.pipeline.Pipeline` (the caller's cache, else a scratch
+  store kept for the scheduler's lifetime) before they are submitted
   (a hit returns an already-resolved future without touching the
   backend), and computed results are stored as they land;
 * **work-stealing dispatch** — chunks are not assigned up front: a
@@ -277,10 +278,14 @@ class JobFuture:
                     value = self._rehydrate(item.envelope)
                     if value is not self._UNSET:
                         self.store_key = item.envelope.key
+                        # The envelope is the stored result only if it
+                        # landed in this future's pipeline store (not if
+                        # a cache replaced the scratch store mid-run).
                         stored_remotely = (
-                            self._scheduler is not None
-                            and self._scheduler._ipc_shared
-                            and item.envelope.key == self.job.fingerprint)
+                            self._pipeline is not None
+                            and item.envelope.key == self.job.fingerprint
+                            and self._pipeline.store
+                            is self._scheduler._ipc_store)
                 elif item.has_value:
                     value = item.value
         if value is self._UNSET:
@@ -297,7 +302,7 @@ class JobFuture:
                     and sched.progress is not None:
                 sched.progress.completed()
         self._result = value
-        if self._pipeline is not None and self.job.fingerprint is not None:
+        if self._pipeline is not None:
             if stored_remotely:
                 # The worker already wrote the artifact into the
                 # pipeline's own store; just account for the miss.
@@ -378,12 +383,15 @@ class Scheduler:
     first parallel submission and reused across phases and batches so
     worker startup is paid once per run, not once per phase.
 
-    With a ``pipeline`` attached, fingerprinted jobs are looked up in
-    its artifact store at submission time and computed results are
-    stored as they land.  Caching cannot change results: artifacts are
-    keyed by the same inputs that determine the job's output, and
-    cached values round-trip through the binary codec so callers get
-    fresh copies.
+    Fingerprinted jobs are looked up at submission time and computed
+    results are stored as they land — in ``pipeline`` (the caller's
+    cache) when one is attached, else in a scratch store made on first
+    use and removed by :meth:`shutdown` — so a job repeated on one
+    scheduler runs once.  The scratch store is the envelope plane's
+    directory, so on a pool the worker's envelope write is the stored
+    result.  Caching cannot change results: artifacts are keyed by the
+    same inputs that determine the job's output, and cached values
+    round-trip through the binary codec so callers get fresh copies.
 
     Every degradation (broken backend, unpicklable job, unreadable
     envelope) is counted in :attr:`metrics` and the first reason kept
@@ -421,18 +429,17 @@ class Scheduler:
         # events.  Both None by default — the zero-cost path.
         self.telemetry: Optional[SweepTelemetry] = None
         self.progress: Optional[SweepProgress] = None
-        if pipeline is not None:
-            self.metrics.add_collector(pipeline.collector(), key="pipeline")
+        self.metrics.add_collector(self._memo_metrics, key="pipeline")
         self._backend: Optional[Backend] = None
         # workers=1 runs serially — except on the socket-reached
         # backends, where even one worker exercises the wire protocol.
         self._serial_fallback = (self.workers <= 1
                                  and transport not in ("socket", "remote"))
         self._transport_used = "serial"
+        # The pipeline over the scratch directory (see _memo), and the
+        # store the running backend's workers write envelopes into.
+        self._scratch: Optional[Pipeline] = None
         self._ipc_store: Optional[ArtifactStore] = None
-        self._ipc_root: Optional[str] = None
-        self._ipc_tmp: Optional[str] = None
-        self._ipc_shared = False
         self._seq = 0
         # Work-stealing dispatch state: a cost-ordered heap of pending
         # (job, slot) entries, pumped into the backend with a bounded
@@ -457,11 +464,24 @@ class Scheduler:
 
     def shutdown(self) -> None:
         self._close_backend()
-        if self._ipc_tmp is not None:
-            shutil.rmtree(self._ipc_tmp, ignore_errors=True)
-            self._ipc_tmp = None
-            self._ipc_store = None
-            self._ipc_root = None
+        self._ipc_store = None
+        if self._scratch is not None:
+            shutil.rmtree(self._scratch.store.root, ignore_errors=True)
+            self._scratch = None
+
+    def _memo(self) -> Pipeline:
+        """The pipeline fingerprinted jobs resolve through: the
+        caller's cache, else the scratch store, made on first use."""
+        if self.pipeline is not None:
+            return self.pipeline
+        if self._scratch is None:
+            self._scratch = Pipeline(tempfile.mkdtemp(prefix="repro-ipc-"))
+        return self._scratch
+
+    def _memo_metrics(self) -> Dict[str, float]:
+        """Snapshot-time collector: the memo's hit/miss accounting."""
+        memo = self.pipeline if self.pipeline is not None else self._scratch
+        return memo.collector()() if memo is not None else {}
 
     def cancel(self) -> None:
         """Interrupt teardown: stop submitting, drop chunks that have
@@ -585,39 +605,39 @@ class Scheduler:
         if self.progress is not None:
             self.progress.add_total(len(jobs))
         futures: List[Optional[JobFuture]] = [None] * len(jobs)
-        pending: List[Tuple[int, Job]] = []
+        pending: List[Tuple[int, Job, Optional[Pipeline]]] = []
         for i, job in enumerate(jobs):
-            if self.pipeline is not None and job.fingerprint is not None:
-                found, value = self.pipeline.lookup(job.fingerprint,
-                                                    stage=job.kind)
+            memo = None
+            if job.fingerprint is not None:
+                memo = self._memo()
+                found, value = memo.lookup(job.fingerprint, stage=job.kind)
                 if found:
                     skey = (job.fingerprint
-                            if self.pipeline.store.root is not None else None)
+                            if memo.store.root is not None else None)
                     futures[i] = JobFuture(job, value=value, store_key=skey)
                     if self.telemetry is not None:
                         self.telemetry.point("cache_hit", job.span_label())
                     if self.progress is not None:
                         self.progress.cache_hit()
                     continue
-            pending.append((i, job))
+            pending.append((i, job, memo))
         if not pending:
             return futures
         backend = self._ensure_backend()
         if self.progress is not None:
             self.progress.set_workers(self.effective_workers)
         if backend is None:
-            for i, job in pending:
-                futures[i] = JobFuture(job, scheduler=self,
-                                       pipeline=self.pipeline)
+            for i, job, memo in pending:
+                futures[i] = JobFuture(job, scheduler=self, pipeline=memo)
             return futures
         # Work-stealing dispatch: every pending job gets a slot on the
         # cost-ordered heap; the pump decides chunk membership only
         # when a worker is actually about to pull the chunk.
         with self._pump_lock:
-            for i, job in pending:
+            for i, job, memo in pending:
                 slot = _Slot(job)
-                futures[i] = JobFuture(job, scheduler=self,
-                                       pipeline=self.pipeline, slot=slot)
+                futures[i] = JobFuture(job, scheduler=self, pipeline=memo,
+                                       slot=slot)
                 heapq.heappush(self._pending,
                                (-job.cost_hint, self._heap_seq, job, slot))
                 self._heap_seq += 1
@@ -740,7 +760,7 @@ class Scheduler:
             key = ""
             if envelope:
                 key = job.fingerprint
-                if key is None or not self._ipc_shared:
+                if key is None:
                     key = f"ipc:{self._seq:08d}"
                     self._seq += 1
                 refs.extend(r for r in job.input_refs if r)
@@ -800,24 +820,6 @@ class Scheduler:
         everywhere else (including the socket backend)."""
         return "pickle" if self.transport == "pickle" else "envelope"
 
-    def _ensure_ipc_store(self) -> ArtifactStore:
-        """The shared store envelopes travel through: the pipeline's
-        own disk store when there is one (workers then write artifacts
-        straight into the cache), else a scheduler-owned tempdir."""
-        if self._ipc_store is not None:
-            return self._ipc_store
-        pipe_store = self.pipeline.store if self.pipeline is not None else None
-        if pipe_store is not None and pipe_store.root is not None:
-            self._ipc_store = pipe_store
-            self._ipc_root = str(pipe_store.root)
-            self._ipc_shared = True
-        else:
-            self._ipc_tmp = tempfile.mkdtemp(prefix="repro-ipc-")
-            self._ipc_store = ArtifactStore(self._ipc_tmp)
-            self._ipc_root = self._ipc_tmp
-            self._ipc_shared = False
-        return self._ipc_store
-
     def _make_backend(self) -> Backend:
         if self.transport == "socket":
             return LoopbackSocketBackend(self.workers)
@@ -831,8 +833,12 @@ class Scheduler:
         if self._backend is None:
             store_root = None
             if self._resolve_transport() == "envelope":
-                self._ensure_ipc_store()
-                store_root = self._ipc_root
+                # Workers write envelopes into the memo's store under
+                # the job's fingerprint.  A memory-only cache has no
+                # directory to share; results then ride the pipe.
+                self._ipc_store = self._memo().store
+                if self._ipc_store.root is not None:
+                    store_root = str(self._ipc_store.root)
             backend = self._make_backend()
             try:
                 backend.start(store_root)

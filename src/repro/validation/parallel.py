@@ -154,9 +154,9 @@ class TrialSpec:
     distiller: Optional[Distiller] = None
     name: str = ""
     obs: Optional[ObsConfig] = None
-    # Pipeline-stage fingerprint of this trial's result.  Set by the
-    # sweep when it runs with an artifact cache; ``None`` means the
-    # trial is uncacheable and always executes.
+    # Pipeline-stage fingerprint of this trial's result, set by the
+    # sweeps (see spec_fingerprint); ``None`` means the trial is
+    # uncacheable and always executes.
     fingerprint: Optional[str] = None
     # Shared-store key of the upstream distill artifact (see above).
     replay_ref: Optional[str] = None
@@ -343,6 +343,12 @@ def spec_fingerprint(spec: TrialSpec,
     return None
 
 
+def _fingerprinted(spec: TrialSpec,
+                   distill_stage: Optional[DistillStage] = None
+                   ) -> TrialSpec:
+    return replace(spec, fingerprint=spec_fingerprint(spec, distill_stage))
+
+
 # ======================================================================
 # The executor
 # ======================================================================
@@ -382,16 +388,14 @@ def _executor_for(workers: Optional[int],
                   hosts=None) -> tuple:
     """(executor, owns_it): reuse the caller's executor when given.
 
-    A given ``pipeline`` is attached to the executor either way (a
-    caller-supplied executor keeps its own pipeline if it already has
-    one, and always keeps its own transport and hosts).
+    A given ``pipeline`` is attached to the executor either way: on a
+    caller-supplied executor it replaces the scratch store unless the
+    executor already has a caller cache, and the executor always keeps
+    its own transport and hosts.
     """
     if executor is not None:
-        if pipeline is not None and executor.pipeline is None:
+        if executor.pipeline is None:
             executor.pipeline = pipeline
-            # The "pipeline" key makes this idempotent across reuse.
-            executor.metrics.add_collector(pipeline.collector(),
-                                           key="pipeline")
         return executor, False
     return TrialExecutor(workers=workers, pipeline=pipeline,
                          transport=transport, hosts=hosts), True
@@ -403,9 +407,9 @@ def _executor_for(workers: Optional[int],
 def _distill_specs(scenario: Scenario, seed: int, trials: int,
                    distiller: Optional[Distiller],
                    obs: Optional[ObsConfig] = None) -> List[TrialSpec]:
-    return [TrialSpec(kind="distill", seed=seed, trial=t, scenario=scenario,
-                      distiller=distiller, name=f"{scenario.name}-{t}",
-                      obs=obs)
+    return [_fingerprinted(TrialSpec(
+                kind="distill", seed=seed, trial=t, scenario=scenario,
+                distiller=distiller, name=f"{scenario.name}-{t}", obs=obs))
             for t in range(trials)]
 
 
@@ -492,7 +496,10 @@ def characterize_scenario_parallel(scenario: Scenario, seed: int = 0,
     """Parallel version of :func:`repro.validation.figures.characterize_scenario`.
 
     With ``obs`` set, each traversal's metrics record is appended to
-    the caller-supplied ``trial_metrics`` list in trial order.
+    the caller-supplied ``trial_metrics`` list in trial order.  The
+    traversals carry the same fingerprints as :func:`run_validation`'s
+    collections, so a sweep on the same executor (or over the same
+    cache) reads them back instead of collecting them again.
     """
     from .figures import ScenarioCharacterization
 
@@ -528,9 +535,10 @@ class ValidationSweep:
     # deterministically: per scenario, collections then live then
     # modulated (variant-major), then the baseline trials.
     trial_metrics: List[Dict] = field(default_factory=list)
-    # Artifact-cache accounting when the sweep ran with ``cache=``:
-    # how many trials were loaded versus recomputed (both zero means
-    # the sweep ran uncached).
+    # Artifact-cache accounting of the caller's ``cache=``: how many
+    # trials were loaded from it versus recomputed.  Both are zero
+    # without one; trials the executor read back from its own scratch
+    # store are not counted here.
     cache_hits: int = 0
     cache_misses: int = 0
     # Data-plane accounting (see Scheduler.transport_stats): which
@@ -628,13 +636,17 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     and shipped to every worker — exactly like the serial harness,
     which measures it once per process.
 
+    Every trial is fingerprinted through the pipeline stages and
+    looked up before it is executed.  Without ``cache`` the lookup goes
+    to the executor's scratch store, which lives as long as the
+    executor: a trial an earlier call already ran on the same executor
+    (a traversal collected for another figure) is read back, not rerun.
     ``cache`` (a directory path, :class:`~repro.pipeline.ArtifactStore`
-    or :class:`~repro.pipeline.Pipeline`) turns on content-addressed
-    artifact caching: every trial is fingerprinted through the pipeline
-    stages and looked up before it is executed, so a warm rerun of the
-    same sweep recomputes nothing.  With a disk cache the envelope
-    transport writes worker artifacts straight into it.  ``transport``
-    selects the backend and data plane (see
+    or :class:`~repro.pipeline.Pipeline`) takes the scratch store's
+    place and outlives the executor, so a warm rerun of the same sweep
+    recomputes nothing; with a disk cache the envelope transport writes
+    worker artifacts straight into it.  ``transport`` selects the
+    backend and data plane (see
     :class:`~repro.runtime.scheduler.Scheduler`).  Results are
     identical with or without a cache, on every transport.
 
@@ -677,43 +689,31 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
         variants = runner.variants()
         n = len(scenarios)
 
-        def _fp(spec: TrialSpec,
-                dist_stage: Optional[DistillStage] = None) -> TrialSpec:
-            if pipeline is None:
-                return spec
-            return replace(spec,
-                           fingerprint=spec_fingerprint(spec, dist_stage))
-
         # Distill-stage ancestry per (scenario, trial): the modulated
         # specs chain these fingerprints so a changed scenario spec or
         # distiller invalidates exactly its downstream trials.
-        dist_stages: List[List[DistillStage]] = []
-        if pipeline is not None:
-            for scenario in scenarios:
-                dist_stages.append([
-                    DistillStage(CollectStage(scenario, sd, t, obs=obs),
-                                 distiller=distiller,
-                                 label=f"{scenario.name}-{t}")
-                    for sd, t in runs])
+        dist_stages = [[DistillStage(CollectStage(scenario, sd, t, obs=obs),
+                                     distiller=distiller,
+                                     label=f"{scenario.name}-{t}")
+                        for sd, t in runs]
+                       for scenario in scenarios]
 
         # ---- queue every dependency-free trial -----------------------
         nodep_specs: List[TrialSpec] = []
         for scenario in scenarios:
-            nodep_specs.extend(
-                _fp(TrialSpec(kind="distill", seed=sd, trial=t,
-                              scenario=scenario, distiller=distiller,
-                              name=f"{scenario.name}-{t}", obs=obs))
-                for sd, t in runs)
+            for sd in range(seed, seed + seeds_n):
+                nodep_specs.extend(
+                    _distill_specs(scenario, sd, trials, distiller, obs))
         for scenario in scenarios:
             for variant in variants:
                 for sd, t in runs:
-                    nodep_specs.append(_fp(TrialSpec(
+                    nodep_specs.append(_fingerprinted(TrialSpec(
                         kind="live", seed=sd, trial=t,
                         scenario=scenario, runner=variant, obs=obs)))
         if baseline:
             for variant in variants:
                 for sd, t in runs:
-                    nodep_specs.append(_fp(TrialSpec(
+                    nodep_specs.append(_fingerprinted(TrialSpec(
                         kind="ethernet", seed=sd, trial=t,
                         runner=variant, obs=obs)))
         nodep_futs = exe.submit_all(nodep_specs)
@@ -735,13 +735,13 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
                 dist_by_scenario[s].append(dist)
                 if record is not None:
                     collect_records[s].append(record)
-            mod_specs = [_fp(TrialSpec(kind="modulated", seed=sd, trial=t,
+            mod_specs = [_fingerprinted(
+                             TrialSpec(kind="modulated", seed=sd, trial=t,
                                        runner=variant,
                                        replay=dist_by_scenario[s][r].replay,
                                        replay_ref=dist_futs[s][r].store_key,
                                        compensation=comp, obs=obs),
-                             dist_stages[s][r] if pipeline is not None
-                             else None)
+                             dist_stages[s][r])
                          for variant in variants
                          for r, (sd, t) in enumerate(runs)]
             mod_futs[s] = exe.submit_all(mod_specs)

@@ -6,7 +6,9 @@
   with code 2 and a one-line error, never a traceback;
 * a TOML spec file as ``--scenario`` runs the full collect → distill →
   modulated pipeline from the command line;
-* ``validate --cache-dir`` twice: the second run reports a warm cache.
+* ``validate --cache-dir`` twice: the second run reports a warm cache;
+* ``characterize --cache-dir`` twice: the second run recomputes
+  nothing, prints the same stdout and ledgers its cache hits.
 
 All tests drive ``repro.cli.main`` in-process (the test_cli_obs idiom).
 """
@@ -206,3 +208,25 @@ class TestTomlScenarioEndToEnd:
         # The rendered tables agree byte for byte.
         table = lambda text: text.split("pipeline cache:")[0]
         assert table(warm) == table(cold)
+
+    def test_characterize_cache_dir_warm_rerun(self, mini_toml, tmp_path,
+                                               capsys):
+        run_dir = tmp_path / "run"
+        argv = ["characterize", "--scenario", str(mini_toml),
+                "--trials", "1", "--workers", "1",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--run-dir", str(run_dir)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert "0 hit(s), 1 recomputed (cold)" in cold.err
+        assert list((tmp_path / "cache" / "objects").glob("*/*.rba"))
+
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "1 hit(s), 0 recomputed (warm)" in warm.err
+        # The cache line goes to stderr, so stdout is byte-identical.
+        assert warm.out == cold.out
+        ledger = [json.loads(line) for line in
+                  (run_dir / "ledger.jsonl").read_text().splitlines()]
+        assert [r["cache"] for r in ledger] == [
+            {"hits": 0, "misses": 1}, {"hits": 1, "misses": 0}]
