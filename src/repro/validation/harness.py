@@ -403,10 +403,19 @@ def run_modulated_trial(replay: ReplayTrace, runner: BenchmarkRunner,
 
 def run_ethernet_trial(runner: BenchmarkRunner, seed: int,
                        trial: int,
-                       obs: Optional[ObsConfig] = None) -> Dict[str, Any]:
-    """The unmodulated Ethernet baseline (final row of Figures 6-8)."""
+                       obs: Optional[ObsConfig] = None,
+                       world_out: Optional[Dict[str, Any]] = None
+                       ) -> Dict[str, Any]:
+    """The unmodulated Ethernet baseline (final row of Figures 6-8).
+
+    ``world_out`` exposes the finished world/obs pair, as for
+    :func:`run_live_trial`.
+    """
     world = ModulationWorld(seed=derive_seed(seed, f"ether:{trial}"))
     wobs = attach_observability(world, obs)
+    if world_out is not None:
+        world_out["world"] = world
+        world_out["obs"] = wobs
     runner.install_servers(world, seed)
     sink: Dict[str, Any] = {}
     proc = world.laptop.spawn(
