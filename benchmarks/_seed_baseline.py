@@ -146,6 +146,9 @@ def _seed_size(self) -> int:
     for header in (self.ip, self.icmp, self.udp, self.tcp):
         if header is not None:
             total += header.wire_bytes
+    # Not a memo (every read recomputes, as in the seed): the current
+    # device queues read the stored size of a frame they dequeue.
+    self._size = total
     return total
 
 
@@ -200,7 +203,7 @@ def _seed_piecewise_conditions(self, t: float):
 def _seed_wavelan_try_grant(self) -> None:
     if self._busy or not self._waiters:
         return
-    device = self._waiters.pop(0)
+    device = self._waiters.popleft()
     packet = device._grant()
     if packet is None:
         self._try_grant()
@@ -229,6 +232,17 @@ def _seed_wavelan_transmit_done(self, sender, packet, cond) -> None:
     self._busy = False
     sender._after_transmit()
     self._try_grant()
+
+
+def _seed_wavelan_conditions_for(self, sender, packet):
+    from repro.net.wavelan import ChannelProfile
+
+    if sender.profile is not None:
+        return sender.profile.conditions(self.sim.now).clamped()
+    receiver = self._receiver_for(sender, packet)
+    if receiver is not None and receiver.profile is not None:
+        return receiver.profile.conditions(self.sim.now).clamped()
+    return ChannelProfile().conditions(self.sim.now)
 
 
 def _seed_wavelan_receiver_for(self, sender, packet):
@@ -307,52 +321,41 @@ def seed_mode():
     from repro.net.wavelan import PiecewiseProfile, WirelessMedium
     from repro.protocols.ip import Reassembler
 
-    saved = {
-        "sim": worlds.Simulator,
-        "pw": PiecewiseProfile.conditions,
-        "size": Packet.size,
-        "clone": Packet.clone,
-        "w_try": WirelessMedium._try_grant,
-        "w_done": WirelessMedium._transmit_done,
-        "w_recv": WirelessMedium._receiver_for,
-        "w_del": WirelessMedium._deliver,
-        "e_done": EthernetSegment._transmit_done,
-        "e_del": EthernetSegment._deliver,
-        "r_acc": Reassembler.accept,
-        "pool": POOL.enabled,
-        "window": Distiller._window,
-    }
-    worlds.Simulator = SeedSimulator
-    # The seed had no packet pool and a scalar distillation loop; both
-    # optimized paths are byte-compatible, so disabling them here only
-    # changes speed, never output.
+    patches = [
+        (worlds, "Simulator", SeedSimulator),
+        (PiecewiseProfile, "conditions", _seed_piecewise_conditions),
+        (Packet, "size", property(_seed_size)),
+        (Packet, "clone", _seed_clone),
+        (WirelessMedium, "_try_grant", _seed_wavelan_try_grant),
+        (WirelessMedium, "_transmit_done", _seed_wavelan_transmit_done),
+        (WirelessMedium, "_conditions_for", _seed_wavelan_conditions_for),
+        (WirelessMedium, "_receiver_for", _seed_wavelan_receiver_for),
+        (WirelessMedium, "_deliver", _seed_wavelan_deliver),
+        (EthernetSegment, "_transmit_done", _seed_ether_transmit_done),
+        (EthernetSegment, "_deliver", _seed_ether_deliver),
+        (Reassembler, "accept", _seed_reassembler_accept),
+        # The seed had a scalar distillation loop; the optimized path
+        # is byte-compatible, so this only changes speed, never output.
+        (Distiller, "_window", Distiller._window_scalar),
+    ]
+    # Originals by (owner, name); a name the current code no longer
+    # defines is deleted again on exit.
+    missing = object()
+    saved = [(owner, name, owner.__dict__.get(name, missing))
+             for owner, name, _ in patches]
+    saved_pool = POOL.enabled
+    # The seed had no packet pool; disabling it changes speed only.
     POOL.enabled = False
     POOL.clear()
-    Distiller._window = Distiller._window_scalar
-    PiecewiseProfile.conditions = _seed_piecewise_conditions
-    Packet.size = property(_seed_size)
-    Packet.clone = _seed_clone
-    WirelessMedium._try_grant = _seed_wavelan_try_grant
-    WirelessMedium._transmit_done = _seed_wavelan_transmit_done
-    WirelessMedium._receiver_for = _seed_wavelan_receiver_for
-    WirelessMedium._deliver = _seed_wavelan_deliver
-    EthernetSegment._transmit_done = _seed_ether_transmit_done
-    EthernetSegment._deliver = _seed_ether_deliver
-    Reassembler.accept = _seed_reassembler_accept
+    for owner, name, value in patches:
+        setattr(owner, name, value)
     try:
         yield
     finally:
-        worlds.Simulator = saved["sim"]
-        PiecewiseProfile.conditions = saved["pw"]
-        Packet.size = saved["size"]
-        Packet.clone = saved["clone"]
-        WirelessMedium._try_grant = saved["w_try"]
-        WirelessMedium._transmit_done = saved["w_done"]
-        WirelessMedium._receiver_for = saved["w_recv"]
-        WirelessMedium._deliver = saved["w_del"]
-        EthernetSegment._transmit_done = saved["e_done"]
-        EthernetSegment._deliver = saved["e_del"]
-        Reassembler.accept = saved["r_acc"]
-        POOL.enabled = saved["pool"]
+        for owner, name, value in saved:
+            if value is missing:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, value)
+        POOL.enabled = saved_pool
         POOL.clear()
-        Distiller._window = saved["window"]

@@ -94,8 +94,16 @@ class Kernel:
     # ------------------------------------------------------------------
     def callout(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """BSD-style callout: fires on the first tick >= now + delay."""
-        target = self.next_tick_at(self.sim.now + delay)
-        return self.sim.schedule_at(max(target, self.sim.now), self._fire, fn, args)
+        sim = self.sim
+        now = sim._now
+        # next_tick_at(now + delay), inline: every TCP timer lands here.
+        when = now + delay
+        tick = self.tick_resolution
+        target = int(when / tick) * tick
+        if target < when - 1e-12:
+            target += tick
+        return sim.schedule_at(target if target >= now else now,
+                               self._fire, fn, args)
 
     def schedule_rounded(self, delay: float, fn: Callable[..., Any],
                          *args: Any) -> None:

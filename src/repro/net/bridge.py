@@ -9,6 +9,7 @@ when the destination is unknown.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 from .device import NetworkDevice
@@ -25,8 +26,8 @@ class Bridge:
         self._table: Dict[str, NetworkDevice] = {}
         self.forwarded = 0
         self.flooded = 0
-        port_a.upstream = lambda pkt: self._ingress(port_a, pkt)
-        port_b.upstream = lambda pkt: self._ingress(port_b, pkt)
+        port_a.upstream = partial(self._ingress, port_a)
+        port_b.upstream = partial(self._ingress, port_b)
 
     def _ingress(self, port: NetworkDevice, packet: Packet) -> None:
         other = self.port_b if port is self.port_a else self.port_a

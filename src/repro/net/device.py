@@ -60,8 +60,10 @@ class NetworkDevice:
             if tracer is not None:
                 tracer.drop("dev", packet, "device_down", device=self.name)
             return
-        for hook in self.output_hooks:
-            hook(self, packet, DIR_OUT, self.sim.now)
+        if self.output_hooks:
+            now = self.sim._now
+            for hook in self.output_hooks:
+                hook(self, packet, DIR_OUT, now)
         if not self.queue.offer(packet):
             self.tx_drops += 1
             if tracer is not None:
@@ -76,8 +78,9 @@ class NetworkDevice:
         raise NotImplementedError
 
     def _record_tx(self, packet: Packet) -> None:
+        """Count a frame just taken from the queue (size memoized)."""
         self.tx_packets += 1
-        self.tx_bytes += packet.size
+        self.tx_bytes += packet._size
         if self.tracer is not None:
             self.tracer.event("dev", "tx", packet, device=self.name)
 
@@ -95,10 +98,13 @@ class NetworkDevice:
         self.rx_bytes += packet.size
         if tracer is not None:
             tracer.event("dev", "rx", packet, device=self.name)
-        for hook in self.input_hooks:
-            hook(self, packet, DIR_IN, self.sim.now)
-        if self.upstream is not None:
-            self.upstream(packet)
+        if self.input_hooks:
+            now = self.sim._now
+            for hook in self.input_hooks:
+                hook(self, packet, DIR_IN, now)
+        upstream = self.upstream
+        if upstream is not None:
+            upstream(packet)
 
     # ------------------------------------------------------------------
     def device_status(self) -> Dict[str, Any]:

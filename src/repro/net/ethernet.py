@@ -15,7 +15,7 @@ modulation would see almost none).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from ..sim import Simulator
 from .device import NetworkDevice
@@ -34,7 +34,7 @@ class EthernetDevice(NetworkDevice):
         self._pending = False
 
     def _kick_transmit(self) -> None:
-        if self._pending or self.segment is None or self.queue.empty:
+        if self._pending or self.segment is None or not self.queue._items:
             return
         self._pending = True
         self.segment.request_transmit(self)
@@ -48,7 +48,7 @@ class EthernetDevice(NetworkDevice):
         return packet
 
     def _after_transmit(self) -> None:
-        if not self.queue.empty:
+        if self.queue._items:
             self._kick_transmit()
 
 
@@ -69,6 +69,10 @@ class EthernetSegment:
         self.prop_delay = prop_delay
         self.name = name
         self.devices: List[EthernetDevice] = []
+        # Delivery targets, kept by attach: the devices owning each
+        # address, and the flood set of each sender (everyone else).
+        self._by_address: Dict[str, List[EthernetDevice]] = {}
+        self._others: Dict[EthernetDevice, List[EthernetDevice]] = {}
         self._busy = False
         self._waiters: Deque[EthernetDevice] = deque()
         self.frames_carried = 0
@@ -79,7 +83,11 @@ class EthernetSegment:
         if device.segment is not None:
             raise ValueError(f"{device.name} already attached")
         device.segment = self
+        for other in self.devices:
+            self._others[other].append(device)
+        self._others[device] = list(self.devices)
         self.devices.append(device)
+        self._by_address.setdefault(device.address, []).append(device)
 
     def per_byte_cost(self) -> float:
         """Ideal per-byte serialization cost of the segment (s/byte)."""
@@ -88,18 +96,22 @@ class EthernetSegment:
     # ------------------------------------------------------------------
     def request_transmit(self, device: EthernetDevice) -> None:
         self._waiters.append(device)
-        self._try_grant()
+        if not self._busy:
+            self._try_grant()
 
     def _try_grant(self) -> None:
-        if self._busy or not self._waiters:
+        if self._busy:
             return
-        device = self._waiters.popleft()
-        packet = device._grant()
-        if packet is None:
-            self._try_grant()
-            return
+        waiters = self._waiters
+        while True:
+            if not waiters:
+                return
+            device = waiters.popleft()
+            packet = device._grant()
+            if packet is not None:
+                break
         self._busy = True
-        size = packet.size
+        size = packet._size  # memoized when the device queued it
         tx_time = size * 8.0 / self.bandwidth_bps
         self.frames_carried += 1
         self.bytes_carried += size
@@ -109,7 +121,7 @@ class EthernetSegment:
         # classic sequence keeps delivery at exactly ``prop_delay``.
         if self.prop_delay >= self.INTERFRAME_GAP:
             self.sim.call_later(tx_time + self.prop_delay,
-                              self._deliver_release, device, packet)
+                                self._deliver_release, device, packet)
         else:
             self.sim.call_later(tx_time, self._transmit_done, device, packet)
 
@@ -131,18 +143,20 @@ class EthernetSegment:
         self._try_grant()
 
     def _deliver(self, sender: EthernetDevice, packet: Packet) -> None:
-        dst = packet.ip.dst if packet.ip is not None else None
-        targets = [d for d in self.devices if d is not sender and d.address == dst]
+        """Hand ``packet`` to the devices owning its IP destination, or
+        flood it to every other device when none does."""
+        ip = packet.ip
+        targets = self._by_address.get(ip.dst if ip is not None else None)
+        if targets is not None and sender in targets:
+            targets = [d for d in targets if d is not sender]
         if not targets:
-            targets = [d for d in self.devices if d is not sender]
+            targets = self._others[sender]
         # Clone before delivering (not after): the receiving stack may
         # recycle the frame it was handed, so later copies must be taken
         # from a pristine packet.
-        last = len(targets) - 1
-        for i, device in enumerate(targets):
-            if i < last:
-                spare = packet.clone()
-                device.handle_receive(packet)
-                packet = spare
-            else:
-                device.handle_receive(packet)
+        for device in targets[:-1]:
+            spare = packet.clone()
+            device.handle_receive(packet)
+            packet = spare
+        if targets:
+            targets[-1].handle_receive(packet)

@@ -30,26 +30,14 @@ PROTO_UDP = 17
 _packet_ids = itertools.count(1)
 
 
-class _FastCopy:
-    """Allocation-light shallow copy for header dataclasses.
-
-    ``copy.copy`` pays a generic ``__reduce_ex__`` round trip per call;
-    broadcast fan-out on the shared WaveLAN medium clones headers
-    hundreds of thousands of times per trial, so headers copy via
-    ``__new__`` plus a dict update instead.
-    """
-
-    __slots__ = ()
-
-    def copy(self):
-        cls = type(self)
-        dup = cls.__new__(cls)
-        dup.__dict__.update(self.__dict__)
-        return dup
+# Packets and headers are the most-read objects in the simulator, so
+# they are slotted: no per-instance ``__dict__`` to allocate or search.
+# Headers copy through their constructor (``copy``), which is how
+# broadcast fan-out clones a frame per receiver.
 
 
-@dataclass
-class IPHeader(_FastCopy):
+@dataclass(slots=True)
+class IPHeader:
     """Minimal IPv4 header: addressing, protocol demux, TTL."""
 
     src: str
@@ -62,9 +50,13 @@ class IPHeader(_FastCopy):
     def wire_bytes(self) -> int:
         return IP_HEADER_BYTES
 
+    def copy(self) -> "IPHeader":
+        """An independent copy of this header."""
+        return IPHeader(self.src, self.dst, self.proto, self.ttl, self.ident)
 
-@dataclass
-class ICMPHeader(_FastCopy):
+
+@dataclass(slots=True)
+class ICMPHeader:
     """ICMP echo / echo-reply header.
 
     ``icmp_type`` is 8 for ECHO and 0 for ECHOREPLY.  ``ident`` carries
@@ -83,9 +75,13 @@ class ICMPHeader(_FastCopy):
     def wire_bytes(self) -> int:
         return ICMP_HEADER_BYTES
 
+    def copy(self) -> "ICMPHeader":
+        """An independent copy of this header."""
+        return ICMPHeader(self.icmp_type, self.ident, self.seq)
 
-@dataclass
-class UDPHeader(_FastCopy):
+
+@dataclass(slots=True)
+class UDPHeader:
     src_port: int
     dst_port: int
 
@@ -93,9 +89,13 @@ class UDPHeader(_FastCopy):
     def wire_bytes(self) -> int:
         return UDP_HEADER_BYTES
 
+    def copy(self) -> "UDPHeader":
+        """An independent copy of this header."""
+        return UDPHeader(self.src_port, self.dst_port)
 
-@dataclass
-class TCPHeader(_FastCopy):
+
+@dataclass(slots=True)
+class TCPHeader:
     """TCP header with the fields our Reno implementation uses."""
 
     src_port: int
@@ -115,6 +115,11 @@ class TCPHeader(_FastCopy):
     def wire_bytes(self) -> int:
         return TCP_HEADER_BYTES
 
+    def copy(self) -> "TCPHeader":
+        """An independent copy of this header."""
+        return TCPHeader(self.src_port, self.dst_port, self.seq, self.ack,
+                         self.flags, self.window)
+
     def has(self, flag: int) -> bool:
         return bool(self.flags & flag)
 
@@ -127,7 +132,7 @@ class TCPHeader(_FastCopy):
         return "|".join(names) or "-"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A frame in flight.
 
@@ -136,15 +141,6 @@ class Packet:
     timestamps for ping, trace annotations) that a real implementation
     would encode inside the payload bytes.
     """
-
-    # Pool bookkeeping.  Deliberately *not* dataclass fields: they are
-    # plain class attributes that an instance only shadows once a pool
-    # acquires or releases it, so ordinary construction — and
-    # ``clone()``, which goes through ``__new__`` — pays nothing and
-    # yields unpooled packets.
-    _from_pool = None   # free-list key ("tcp"/"udp"/"frag"); None = never recycled
-    _pooled = False     # True while the slot sits in a free list
-    _gen = 0            # bumped on every slot reuse (stale-reference guard)
 
     ip: Optional[IPHeader] = None
     icmp: Optional[ICMPHeader] = None
@@ -160,6 +156,14 @@ class Packet:
     # IPLayer.send, resets this), so the size is stable for the whole
     # journey through queues, media, and tracing hooks.
     _size: Optional[int] = field(default=None, repr=False, compare=False)
+    # Pool bookkeeping, never constructor arguments: a packet is
+    # unpooled until a PacketPool acquire marks it.
+    _from_pool: Optional[str] = field(default=None, init=False, repr=False,
+                                      compare=False)  # free-list key
+    _pooled: bool = field(default=False, init=False, repr=False,
+                          compare=False)  # True while on a free list
+    _gen: int = field(default=0, init=False, repr=False,
+                      compare=False)  # bumped on every slot reuse
 
     @property
     def generation(self) -> int:
@@ -197,7 +201,8 @@ class Packet:
         return self.size - self.link_bytes
 
     def clone(self) -> "Packet":
-        """A shallow copy with a fresh packet id (used by broadcast fan-out)."""
+        """A shallow, unpooled copy with a fresh packet id (used by
+        broadcast fan-out)."""
         ip, icmp, udp, tcp = self.ip, self.icmp, self.udp, self.tcp
         dup = Packet.__new__(Packet)
         dup.ip = None if ip is None else ip.copy()
@@ -210,6 +215,9 @@ class Packet:
         dup.meta = dict(self.meta)
         dup.packet_id = next(_packet_ids)
         dup._size = self._size
+        dup._from_pool = None
+        dup._pooled = False
+        dup._gen = 0
         return dup
 
     def release(self) -> None:

@@ -12,7 +12,9 @@ class DropTailQueue:
     """A bounded FIFO that drops arrivals when full.
 
     Limits may be expressed in packets, bytes, or both; a packet is
-    accepted only if it fits under every configured limit.
+    accepted only if it fits under every configured limit.  Devices
+    test emptiness on the per-frame path by reading ``_items``, the
+    deque itself, rather than through :attr:`empty`.
     """
 
     def __init__(self, max_packets: Optional[int] = 100,
@@ -30,15 +32,21 @@ class DropTailQueue:
         self.dropped_bytes = 0
 
     def offer(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` if room remains; returns False on drop."""
-        if self.max_packets is not None and len(self._items) >= self.max_packets:
+        """Enqueue ``packet`` if room remains; returns False on drop.
+
+        Reading ``packet.size`` here memoizes it, so the transmit path
+        downstream of :meth:`poll` reads the memo (``_size``) directly.
+        """
+        items = self._items
+        if self.max_packets is not None and len(items) >= self.max_packets:
             self._drop(packet)
             return False
-        if self.max_bytes is not None and self._bytes + packet.size > self.max_bytes:
+        size = packet.size
+        if self.max_bytes is not None and self._bytes + size > self.max_bytes:
             self._drop(packet)
             return False
-        self._items.append(packet)
-        self._bytes += packet.size
+        items.append(packet)
+        self._bytes += size
         self.enqueued += 1
         return True
 
@@ -47,7 +55,7 @@ class DropTailQueue:
         if not self._items:
             return None
         packet = self._items.popleft()
-        self._bytes -= packet.size
+        self._bytes -= packet._size
         self.dequeued += 1
         return packet
 

@@ -23,8 +23,9 @@ while giving us ground truth for validation.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..sim import RngStreams, Simulator
 from .device import NetworkDevice
@@ -38,7 +39,7 @@ UPLINK = "up"      # mobile -> base station
 DOWNLINK = "down"  # base station -> mobile
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelConditions:
     """Instantaneous channel state as seen by the mobile host."""
 
@@ -67,16 +68,14 @@ class ChannelProfile:
 
     Scenario modules subclass or compose this; the default is a perfect
     channel (used for base stations and wired-quality stations).
+    ``conditions`` must return values already in their legal range
+    (see :meth:`ChannelConditions.clamped`): the medium reads them as
+    they are, once per frame.
     """
 
     def conditions(self, t: float) -> ChannelConditions:
-        return ChannelConditions(
-            signal_level=30.0,
-            loss_prob_up=0.0,
-            loss_prob_down=0.0,
-            bandwidth_factor=1.0,
-            access_latency_mean=0.0,
-        )
+        # signal, loss up, loss down, bandwidth factor, access latency
+        return ChannelConditions(30.0, 0.0, 0.0, 1.0, 0.0)
 
 
 class PiecewiseProfile(ChannelProfile):
@@ -113,13 +112,15 @@ class PiecewiseProfile(ChannelProfile):
               + (c1.bandwidth_factor - c0.bandwidth_factor) * frac)
         al = (c0.access_latency_mean
               + (c1.access_latency_mean - c0.access_latency_mean) * frac)
-        # Clamp inline (same formulas as ChannelConditions.clamped).
+        # Clamp inline: the same comparisons, and so the same values, as
+        # the max/min of ChannelConditions.clamped, at a fraction of the
+        # cost of the builtin calls.
         return ChannelConditions(
-            signal_level=max(0.0, sl),
-            loss_prob_up=min(1.0, max(0.0, lu)),
-            loss_prob_down=min(1.0, max(0.0, ld)),
-            bandwidth_factor=min(1.0, max(0.01, bw)),
-            access_latency_mean=max(0.0, al),
+            sl if sl > 0.0 else 0.0,
+            (lu if lu < 1.0 else 1.0) if lu > 0.0 else 0.0,
+            (ld if ld < 1.0 else 1.0) if ld > 0.0 else 0.0,
+            (bw if bw < 1.0 else 1.0) if bw > 0.01 else 0.01,
+            al if al > 0.0 else 0.0,
         )
 
 
@@ -157,18 +158,18 @@ class WaveLANDevice(NetworkDevice):
 
     # -- medium interaction (same contract as EthernetDevice) ----------
     def _kick_transmit(self) -> None:
-        if self._pending or self.medium is None or self.queue.empty:
+        if self._pending or self.medium is None or not self.queue._items:
             return
         self._pending = True
         self.medium.request_transmit(self)
 
     def _grant(self) -> Optional[Packet]:
         self._pending = False
-        if self.sim.now < self._gap_until:
+        now = self.sim._now
+        if now < self._gap_until:
             # The host driver is still busy post-processing the last
             # frame; come back for the medium once the gap elapses.
-            self.sim.call_later(self._gap_until - self.sim.now,
-                              self._kick_transmit)
+            self.sim.call_later(self._gap_until - now, self._kick_transmit)
             return None
         packet = self.queue.poll()
         if packet is not None:
@@ -176,8 +177,8 @@ class WaveLANDevice(NetworkDevice):
         return packet
 
     def _after_transmit(self) -> None:
-        self._gap_until = self.sim.now + self.driver_gap
-        if not self.queue.empty:
+        self._gap_until = self.sim._now + self.driver_gap
+        if self.queue._items:
             # Re-enter the arbitration queue immediately rather than
             # waiting out the driver gap: under contention the medium
             # is busy far longer than the gap, so by the time the grant
@@ -242,32 +243,31 @@ class WirelessMedium:
         self._by_address: Dict[str, WaveLANDevice] = {}
         self.tracer = None  # repro.obs scope; None = uninstrumented
         self._busy = False
-        self._waiters: List[WaveLANDevice] = []
+        self._waiters: Deque[WaveLANDevice] = deque()
         self.frames_carried = 0
         self.frames_lost = 0
         self._ge_bad = False
         self._ge_until = 0.0
 
     # -- fading state ----------------------------------------------------
-    def _loss_multiplier(self) -> float:
-        """Current Gilbert-Elliott loss multiplier."""
-        if not self.bursty_loss:
-            return 1.0
-        now = self.sim.now
-        while now >= self._ge_until:
-            self._ge_bad = not self._ge_bad
-            dwell = self.GE_BAD_DWELL if self._ge_bad else self.GE_GOOD_DWELL
-            self._ge_until += self.rng.expovariate(1.0 / dwell)
-        return self.GE_BAD_FACTOR if self._ge_bad else self.GE_GOOD_FACTOR
-
     def _effective_loss(self, nominal: float) -> float:
+        """Loss probability of one frame whose profile says ``nominal``,
+        under Gilbert-Elliott fading (advanced to now)."""
         if nominal <= 0.0:
             return 0.0
         if nominal >= 0.2:
             # A deep outage (the Wean elevator) dominates fading.
             return nominal
-        scaled = nominal * self._loss_multiplier()
-        return min(self.GE_BAD_CAP if self._ge_bad else 1.0, scaled)
+        if not self.bursty_loss:
+            return min(1.0, nominal)
+        now = self.sim._now
+        while now >= self._ge_until:
+            self._ge_bad = not self._ge_bad
+            dwell = self.GE_BAD_DWELL if self._ge_bad else self.GE_GOOD_DWELL
+            self._ge_until += self.rng.expovariate(1.0 / dwell)
+        if self._ge_bad:
+            return min(self.GE_BAD_CAP, nominal * self.GE_BAD_FACTOR)
+        return min(1.0, nominal * self.GE_GOOD_FACTOR)
 
     def attach(self, device: WaveLANDevice) -> None:
         if device.medium is not None:
@@ -279,40 +279,69 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     def request_transmit(self, device: WaveLANDevice) -> None:
         self._waiters.append(device)
-        self._try_grant()
+        if not self._busy:
+            self._try_grant()
 
     def _try_grant(self) -> None:
-        if self._busy or not self._waiters:
+        if self._busy:
             return
-        device = self._waiters.pop(0)
-        packet = device._grant()
-        if packet is None:
-            self._try_grant()
-            return
+        waiters = self._waiters
+        while True:
+            if not waiters:
+                return
+            sender = waiters.popleft()
+            packet = sender._grant()
+            if packet is not None:
+                break
         self._busy = True
-        cond = self._conditions_for(device, packet)
-        backoff = self.rng.randrange(0, self.MAX_BACKOFF_SLOTS + 1) * self.SLOT_TIME
+        # The station addressed on this cell, if any: it supplies the
+        # channel when the sender (a base station) has no profile, and
+        # it is the one receiver of the frame.
+        ip = packet.ip
+        receiver = self._by_address.get(ip.dst) if ip is not None else None
+        if receiver is sender:
+            receiver = None
+        # Channel conditions governing this transmission: the mobile
+        # endpoint's profile wins, so frames to or from a mobile station
+        # see that station's channel; base-to-base (or two wired-quality
+        # stations) see a perfect channel.
+        profile = sender.profile
+        if profile is None and receiver is not None:
+            profile = receiver.profile
+        if profile is None:
+            profile = ChannelProfile()
+        cond = profile.conditions(self.sim._now)
+        rng = self.rng
+        # ``_randbelow(n)`` is exactly what ``randrange(0, n)`` returns,
+        # from the same draws, without its argument checks.
+        backoff = rng._randbelow(self.MAX_BACKOFF_SLOTS + 1) * self.SLOT_TIME
         access = 0.0
         if cond.access_latency_mean > 0.0:
-            access = self.rng.expovariate(1.0 / cond.access_latency_mean)
-        tx_time = (packet.size * 8.0 / (self.rate_bps * cond.bandwidth_factor)
+            access = rng.expovariate(1.0 / cond.access_latency_mean)
+        tx_time = (packet._size * 8.0 / (self.rate_bps * cond.bandwidth_factor)
                    + self.PER_FRAME_OVERHEAD)
         self.frames_carried += 1
         # Propagation rides the same event as serialization: the frame
         # arrives (or is lost) one event after the grant, and the
         # medium frees at arrival time.
+        nominal = cond.loss_prob_down if sender.is_base else cond.loss_prob_up
         self.sim.call_later(backoff + access + tx_time + self.prop_delay,
-                          self._transmit_done, device, packet, cond)
+                            self._transmit_done, sender, packet, receiver,
+                            nominal)
 
     def _transmit_done(self, sender: WaveLANDevice, packet: Packet,
-                       cond: ChannelConditions) -> None:
-        direction = UPLINK if not sender.is_base else DOWNLINK
-        lost = self.rng.random() < self._effective_loss(cond.loss_prob(direction))
+                       receiver: Optional[WaveLANDevice],
+                       nominal_loss: float) -> None:
+        # The loss draw comes before any fading-state draw.
+        draw = self.rng.random()
+        lost = draw < self._effective_loss(nominal_loss)
         if lost:
             self.frames_lost += 1
             if self.tracer is not None:
                 self.tracer.drop("radio", packet, "channel_loss",
-                                 sender=sender.name, direction=direction)
+                                 sender=sender.name,
+                                 direction=DOWNLINK if sender.is_base
+                                 else UPLINK)
             POOL.release(packet)
         self._busy = False
         # The sender's driver gap must be on the books before the next
@@ -321,36 +350,8 @@ class WirelessMedium:
         # separate propagation event used to impose.
         sender._after_transmit()
         self._try_grant()
-        if not lost:
-            self._deliver(sender, packet)
-
-    def _conditions_for(self, sender: WaveLANDevice,
-                        packet: Packet) -> ChannelConditions:
-        """Channel conditions governing this transmission.
-
-        The mobile endpoint's profile wins: frames to or from a mobile
-        station see that station's channel.  Base-to-base (or two
-        wired-quality stations) see a perfect channel.
-        """
-        if sender.profile is not None:
-            return sender.profile.conditions(self.sim.now).clamped()
-        receiver = self._receiver_for(sender, packet)
-        if receiver is not None and receiver.profile is not None:
-            return receiver.profile.conditions(self.sim.now).clamped()
-        return ChannelProfile().conditions(self.sim.now)
-
-    def _receiver_for(self, sender: WaveLANDevice,
-                      packet: Packet) -> Optional[WaveLANDevice]:
-        dst = packet.ip.dst if packet.ip is not None else None
-        if dst is None:
-            return None
-        device = self._by_address.get(dst)
-        if device is not None and device is not sender:
-            return device
-        return None
-
-    def _deliver(self, sender: WaveLANDevice, packet: Packet) -> None:
-        receiver = self._receiver_for(sender, packet)
+        if lost:
+            return
         if receiver is not None:
             receiver.handle_receive(packet)
             return
@@ -369,12 +370,9 @@ class WirelessMedium:
         # one is still pristine.
         receivers = [d for d in self.devices
                      if d is not sender and (d.is_base or d.input_hooks)]
-        last = len(receivers) - 1
-        for i, device in enumerate(receivers):
-            if i < last:
-                spare = packet.clone()
-                device.handle_receive(packet)
-                packet = spare
-            else:
-                device.handle_receive(packet)
-            first = False
+        for device in receivers[:-1]:
+            spare = packet.clone()
+            device.handle_receive(packet)
+            packet = spare
+        if receivers:
+            receivers[-1].handle_receive(packet)

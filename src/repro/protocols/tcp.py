@@ -37,6 +37,13 @@ MAX_SYN_RETRIES = 6
 MAX_DATA_RETRIES = 20
 FIN_WAIT_2_TIMEOUT = 60.0  # orphaned half-close reaper, as in BSD
 
+# Header flag bits, bound once for the per-segment paths.
+_FIN = TCPHeader.FIN
+_SYN = TCPHeader.SYN
+_RST = TCPHeader.RST
+_PSH = TCPHeader.PSH
+_ACK = TCPHeader.ACK
+
 # Connection states (the subset our apps traverse).
 CLOSED = "CLOSED"
 SYN_SENT = "SYN_SENT"
@@ -217,7 +224,7 @@ class TCPConnection:
     # ==================================================================
     def _start_active_open(self) -> None:
         self.state = SYN_SENT
-        self._send_segment(seq=0, length=0, syn=True)
+        self._send_segment(0, 0, _SYN)
         self.snd_nxt = 1
         self.snd_max = 1
         self._arm_rtx()
@@ -226,7 +233,7 @@ class TCPConnection:
         self.state = SYN_RCVD
         self.rcv_nxt = 1
         self.peer_window = syn_packet.tcp.window
-        self._send_segment(seq=0, length=0, syn=True, ack=True)
+        self._send_segment(0, 0, _SYN | _ACK)
         self.snd_nxt = 1
         self.snd_max = 1
         self._arm_rtx()
@@ -244,22 +251,26 @@ class TCPConnection:
         if self.state not in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, CLOSING, LAST_ACK):
             return
         limit = self._send_limit()
+        # Nothing below reaches the application, so the data edge is
+        # fixed for the whole burst.
+        edge = self._data_edge()
         sent_any = False
-        while self.snd_nxt < self._data_edge() and self.snd_nxt < limit:
-            length = min(MSS, self._data_edge() - self.snd_nxt, limit - self.snd_nxt)
-            if length <= 0:
-                break
-            push = (self.snd_nxt + length) >= self._data_edge()
-            self._send_segment(seq=self.snd_nxt, length=length, ack=True, psh=push)
+        while self.snd_nxt < edge and self.snd_nxt < limit:
+            seq = self.snd_nxt
+            length = min(MSS, edge - seq, limit - seq)
+            self._send_segment(seq, length,
+                               _ACK | _PSH if seq + length >= edge else _ACK)
             self.snd_nxt += length
-            self.snd_max = max(self.snd_max, self.snd_nxt)
+            if self.snd_nxt > self.snd_max:
+                self.snd_max = self.snd_nxt
             sent_any = True
         if (self.fin_pending and self.fin_offset is None
-                and self.snd_nxt == self._data_edge()):
+                and self.snd_nxt == edge):
             self.fin_offset = self.snd_nxt
-            self._send_segment(seq=self.snd_nxt, length=0, fin=True, ack=True)
+            self._send_segment(self.snd_nxt, 0, _FIN | _ACK)
             self.snd_nxt += 1
-            self.snd_max = max(self.snd_max, self.snd_nxt)
+            if self.snd_nxt > self.snd_max:
+                self.snd_max = self.snd_nxt
             sent_any = True
             if self.state == ESTABLISHED:
                 self._set_state(FIN_WAIT_1)
@@ -268,21 +279,17 @@ class TCPConnection:
         if sent_any:
             self._arm_rtx()
 
-    def _send_segment(self, seq: int, length: int, syn: bool = False,
-                      fin: bool = False, ack: bool = False, psh: bool = False,
+    def _send_segment(self, seq: int, length: int, flags: int,
                       is_rtx: bool = False) -> None:
-        flags = 0
-        if syn:
-            flags |= TCPHeader.SYN
-        if fin:
-            flags |= TCPHeader.FIN
-        if ack:
-            flags |= TCPHeader.ACK
-        if psh:
-            flags |= TCPHeader.PSH
+        """Emit one segment carrying ``flags`` (``TCPHeader`` bits)."""
+        # The advertised window (``_adv_window``), inline: this runs for
+        # every segment.
+        backlog = ((self.rcv_nxt - 1 if self.fin_received else self.rcv_nxt)
+                   - 1 - self.app_read)
+        window = self.rcv_buf - backlog if backlog > 0 else self.rcv_buf
         packet = POOL.acquire_tcp(self.lport, self.rport, seq,
-                                  self.rcv_nxt if ack else 0, flags,
-                                  self._adv_window(), length)
+                                  self.rcv_nxt if flags & _ACK else 0, flags,
+                                  window if window > 0 else 0, length)
         if length > 0 and self.send_markers:
             # Attach the markers of every message this segment overlaps;
             # app byte i (0-based) lives at stream offset 1+i.  Carrying
@@ -298,9 +305,13 @@ class TCPConnection:
         if is_rtx:
             self.retransmits += 1
         # RTT sampling (Karn's rule: never sample retransmitted data).
-        if not is_rtx and length > 0 and self._rtt_sample is None:
-            self._rtt_sample = (seq + length, self.sim.now)
-        self._cancel_delack()
+        elif length > 0 and self._rtt_sample is None:
+            self._rtt_sample = (seq + length, self.sim._now)
+        # Every segment carries the current ACK: no delayed ACK pending.
+        delack = self._delack_timer
+        if delack is not None:
+            delack.cancel()
+            self._delack_timer = None
         self._segments_unacked = 0
         tracer = self.proto.tracer
         if tracer is not None:
@@ -361,18 +372,18 @@ class TCPConnection:
         the timeout path may additionally pull ``snd_nxt`` back.
         """
         if self.state in (SYN_SENT, SYN_RCVD) and self.snd_una == 0:
-            self._send_segment(seq=0, length=0, syn=True,
-                               ack=(self.state == SYN_RCVD), is_rtx=True)
+            self._send_segment(0, 0, _SYN | _ACK if self.state == SYN_RCVD
+                               else _SYN, is_rtx=True)
             return 0
         if self.fin_offset is not None and self.snd_una == self.fin_offset:
-            self._send_segment(seq=self.fin_offset, length=0, fin=True, ack=True,
-                               is_rtx=True)
+            self._send_segment(self.fin_offset, 0, _FIN | _ACK, is_rtx=True)
             return 0
         length = min(MSS, self._data_edge() - self.snd_una)
         if length > 0:
-            self._send_segment(seq=self.snd_una, length=length, ack=True,
-                               psh=(self.snd_una + length >= self._data_edge()),
-                               is_rtx=True)
+            self._send_segment(self.snd_una, length,
+                               _ACK | _PSH
+                               if self.snd_una + length >= self._data_edge()
+                               else _ACK, is_rtx=True)
         return length
 
     # ==================================================================
@@ -381,7 +392,8 @@ class TCPConnection:
     def segment_arrives(self, packet: Packet) -> None:
         self.segments_received += 1
         tcp = packet.tcp
-        if tcp.has(TCPHeader.RST):
+        flags = tcp.flags
+        if flags & _RST:
             self._fail(TCPError("connection reset"))
             return
         if self.state == SYN_SENT:
@@ -390,31 +402,28 @@ class TCPConnection:
         # Process the ACK before any duplicate-SYN handling: a SYN+ACK
         # retransmission answered while we are SYN_RCVD still completes
         # our side of the handshake.
-        if tcp.has(TCPHeader.ACK):
+        if flags & _ACK:
             # RFC 5681 duplicate-ACK criteria: a pure ACK (no data, no
             # SYN/FIN) that neither advances snd_una nor changes the
             # advertised window.  Window updates must not feed fast
             # retransmit.
-            is_pure = (packet.payload_bytes == 0
-                       and not tcp.has(TCPHeader.SYN)
-                       and not tcp.has(TCPHeader.FIN))
+            is_pure = packet.payload_bytes == 0 and not flags & (_SYN | _FIN)
             self._process_ack(tcp.ack, tcp.window, countable_dup=is_pure)
-        if tcp.has(TCPHeader.SYN):
+        if flags & _SYN:
             # Duplicate SYN from the peer (our reply was lost): if we are
             # still SYN_RCVD resend the SYN+ACK, otherwise a plain ACK
             # tells the peer where we stand.
             if self.state == SYN_RCVD:
-                self._send_segment(seq=0, length=0, syn=True, ack=True,
-                                   is_rtx=True)
+                self._send_segment(0, 0, _SYN | _ACK, is_rtx=True)
             elif self.state != CLOSED:
                 self._send_ack_now()
             return
-        if packet.payload_bytes > 0 or tcp.has(TCPHeader.FIN):
+        if packet.payload_bytes > 0 or flags & _FIN:
             self._process_data(packet)
 
     def _segment_in_syn_sent(self, packet: Packet) -> None:
         tcp = packet.tcp
-        if tcp.has(TCPHeader.SYN) and tcp.has(TCPHeader.ACK) and tcp.ack >= 1:
+        if tcp.flags & (_SYN | _ACK) == _SYN | _ACK and tcp.ack >= 1:
             self.rcv_nxt = 1
             self.snd_una = 1
             self.peer_window = tcp.window
@@ -442,7 +451,8 @@ class TCPConnection:
         self.snd_una = ack
         # An ACK above a pulled-back snd_nxt acknowledges data sent before
         # a timeout collapsed the window; fast-forward past it.
-        self.snd_nxt = max(self.snd_nxt, ack)
+        if ack > self.snd_nxt:
+            self.snd_nxt = ack
         self.retries = 0
         self.backoff = 1
         if self.send_markers and self.send_markers[0][1] <= ack - 1:
@@ -450,7 +460,7 @@ class TCPConnection:
                                  if m[1] > ack - 1]
         # RTT sample?
         if self._rtt_sample is not None and ack >= self._rtt_sample[0]:
-            self._update_rtt(self.sim.now - self._rtt_sample[1])
+            self._update_rtt(self.sim._now - self._rtt_sample[1])
             self._rtt_sample = None
         # Handshake completion on the passive side.
         if self.state == SYN_RCVD and ack >= 1:
@@ -502,12 +512,12 @@ class TCPConnection:
     def _fast_retransmit(self) -> None:
         length = min(MSS, self._data_edge() - self.snd_una)
         if length > 0:
-            self._send_segment(seq=self.snd_una, length=length, ack=True,
-                               psh=(self.snd_una + length >= self._data_edge()),
-                               is_rtx=True)
+            self._send_segment(self.snd_una, length,
+                               _ACK | _PSH
+                               if self.snd_una + length >= self._data_edge()
+                               else _ACK, is_rtx=True)
         elif self.fin_offset is not None and self.snd_una == self.fin_offset:
-            self._send_segment(seq=self.fin_offset, length=0, fin=True, ack=True,
-                               is_rtx=True)
+            self._send_segment(self.fin_offset, 0, _FIN | _ACK, is_rtx=True)
         self._rearm_rtx()
 
     def _update_rtt(self, sample: float) -> None:
@@ -525,7 +535,7 @@ class TCPConnection:
         tcp = packet.tcp
         seg_start = tcp.seq
         seg_end = seg_start + packet.payload_bytes
-        fin_here = tcp.has(TCPHeader.FIN)
+        fin_here = tcp.flags & _FIN
         if isinstance(packet.payload, list):
             for end, obj in packet.payload:
                 if end > self.app_read:  # ignore re-delivery of consumed messages
@@ -549,7 +559,7 @@ class TCPConnection:
         if advanced:
             self.readable_signal.fire()
             self._segments_unacked += 1
-            if tcp.has(TCPHeader.PSH) or self._segments_unacked >= 2:
+            if tcp.flags & _PSH or self._segments_unacked >= 2:
                 self._send_ack_now()
             else:
                 self._schedule_delack()
@@ -558,7 +568,7 @@ class TCPConnection:
             self._send_ack_now()
 
     def _drain_ooo(self) -> None:
-        changed = True
+        changed = bool(self._ooo)
         while changed:
             changed = False
             for start in sorted(self._ooo):
@@ -569,7 +579,7 @@ class TCPConnection:
                         self.rcv_nxt = end
                     changed = True
                     break
-        if getattr(self, "_ooo_fin", None) is not None \
+        if self._ooo_fin is not None \
                 and self._ooo_fin <= self.rcv_nxt and not self.fin_received:
             self.fin_received = True
             self.rcv_nxt += 1
@@ -608,7 +618,7 @@ class TCPConnection:
 
     # --- acking ---------------------------------------------------------
     def _send_ack_now(self) -> None:
-        self._send_segment(seq=self.snd_nxt, length=0, ack=True)
+        self._send_segment(self.snd_nxt, 0, _ACK)
 
     def _schedule_delack(self) -> None:
         if self._delack_timer is None or not self._delack_timer.pending:
@@ -649,7 +659,7 @@ class TCPConnection:
         self.error = error
         # Best-effort reset so the peer does not wait on a ghost.
         header = TCPHeader(src_port=self.lport, dst_port=self.rport,
-                           seq=self.snd_nxt, flags=TCPHeader.RST)
+                           seq=self.snd_nxt, flags=_RST)
         self.proto.ip.send(self.laddr, self.raddr, PROTO_TCP,
                            Packet(tcp=header))
         self._teardown()
@@ -709,18 +719,12 @@ class TCPProtocol:
         self._next_ephemeral = self.EPHEMERAL_BASE
         self.dropped_no_conn = 0
         self.tracer = None  # repro.obs scope; None = uninstrumented
+        # ``callout(delay, fn, *args)`` schedules a connection timer
+        # through the host kernel when there is one: kernel callouts
+        # are quantized to the clock-tick resolution, reproducing the
+        # coarse timers of the paper's NetBSD hosts.
+        self.callout = kernel.callout if kernel is not None else sim.schedule
         ip_layer.register_protocol(PROTO_TCP, self.input)
-
-    # ------------------------------------------------------------------
-    def callout(self, delay: float, fn, *args):
-        """Schedule a timer through the host kernel when available.
-
-        Kernel callouts are quantized to the clock-tick resolution,
-        reproducing the coarse timers of the paper's NetBSD hosts.
-        """
-        if self.kernel is not None:
-            return self.kernel.callout(delay, fn, *args)
-        return self.sim.schedule(delay, fn, *args)
 
     # ------------------------------------------------------------------
     def listen(self, address: str, port: int) -> TCPListener:
@@ -771,7 +775,7 @@ class TCPProtocol:
                                   flags=packet.tcp.flags)
             conn.segment_arrives(packet)
             return
-        if packet.tcp.has(TCPHeader.SYN) and not packet.tcp.has(TCPHeader.ACK):
+        if packet.tcp.flags & (_SYN | _ACK) == _SYN:
             listener = self._listeners.get(packet.tcp.dst_port)
             if listener is not None and not listener.closed:
                 conn = TCPConnection(self, listener.address, listener.port,
@@ -791,10 +795,10 @@ class TCPProtocol:
                              port=packet.tcp.dst_port)
         # No one owns this segment: answer with RST (unless it IS one)
         # so half-open peers tear down instead of waiting forever.
-        if not packet.tcp.has(TCPHeader.RST):
+        if not packet.tcp.flags & _RST:
             header = TCPHeader(src_port=packet.tcp.dst_port,
                                dst_port=packet.tcp.src_port,
-                               seq=packet.tcp.ack, flags=TCPHeader.RST)
+                               seq=packet.tcp.ack, flags=_RST)
             self.ip.send(packet.ip.dst, packet.ip.src, PROTO_TCP,
                          Packet(tcp=header))
 

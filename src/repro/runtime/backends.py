@@ -251,6 +251,14 @@ def execute_wire_chunk_keys(wire: bytes, envelope: bool,
 # ======================================================================
 _FRAME_HEADER = struct.Struct("<Q")
 
+# Largest frame body recv_frame accepts.  The peer's length word is
+# checked against it before any body byte is read, so a forged header
+# cannot make the receiver allocate its claimed size.  The largest frame
+# the distributed tests and ``bench_distributed.py --quick`` send is
+# about 28 KB (a chunk of trial jobs); 64 MiB leaves three orders of
+# magnitude for paper-size chunks and store artifacts.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
 
 def send_frame(sock: socket.socket, obj: Any) -> int:
     """Pickle ``obj`` and send it length-prefixed; returns frame size."""
@@ -261,9 +269,13 @@ def send_frame(sock: socket.socket, obj: Any) -> int:
 
 def recv_frame(sock: socket.socket) -> Any:
     """Receive one length-prefixed pickled frame (raises
-    :class:`BackendBroken` on a short read — the peer went away)."""
+    :class:`BackendBroken` on a short read — the peer went away — and on
+    a length over :data:`MAX_FRAME_BYTES`)."""
     header = _recv_exact(sock, _FRAME_HEADER.size)
     (length,) = _FRAME_HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise BackendBroken(f"frame length {length} exceeds the "
+                            f"{MAX_FRAME_BYTES}-byte limit")
     return pickle.loads(_recv_exact(sock, length))
 
 

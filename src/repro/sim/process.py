@@ -67,9 +67,13 @@ class Signal:
 
     def fire(self, value: Any = None) -> int:
         """Wake all waiters with ``value``; returns the number woken."""
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
+        call_later = self._sim.call_later
         for proc in waiters:
-            self._sim.call_later(0.0, proc._resume, value)
+            call_later(0.0, proc._resume, value)
         return len(waiters)
 
     def _add_waiter(self, proc: "Process") -> None:
@@ -142,11 +146,11 @@ class Process:
         self._handle_request(request)
 
     def _handle_request(self, request: Any) -> None:
-        if isinstance(request, Timeout):
-            self._pending_event = self._sim.schedule(request.delay, self._resume, None)
-        elif isinstance(request, Signal):
+        if isinstance(request, Signal):
             self._waiting_on = request
-            request._add_waiter(self)
+            request._waiters.append(self)
+        elif isinstance(request, Timeout):
+            self._pending_event = self._sim.schedule(request.delay, self._resume, None)
         elif isinstance(request, Process):
             if not request.alive:
                 # Child already finished: resume with its outcome immediately.

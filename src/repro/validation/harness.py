@@ -494,10 +494,14 @@ def validate_scenario(scenario: Scenario, runner: BenchmarkRunner,
 
 def ethernet_baseline(runner: BenchmarkRunner, seed: int = 0,
                       trials: int = 4) -> Dict[str, Summary]:
-    """Summaries of the benchmark over the raw modulation Ethernet."""
-    out: Dict[str, Summary] = {}
-    for variant in runner.variants():
-        runs = [run_ethernet_trial(variant, seed, t) for t in range(trials)]
-        for metric in variant.metrics:
-            out[metric] = Summary.of([r[metric] for r in runs])
-    return out
+    """Summaries of the benchmark over the raw modulation Ethernet.
+
+    A thin serial front to
+    :func:`repro.validation.parallel.ethernet_baseline_parallel`
+    (``workers=1``), as :func:`validate_scenario` is for
+    ``run_validation``.
+    """
+    from .parallel import ethernet_baseline_parallel
+
+    return ethernet_baseline_parallel(runner, seed=seed, trials=trials,
+                                      workers=1)

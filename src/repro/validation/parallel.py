@@ -468,12 +468,18 @@ def ethernet_baseline_parallel(runner: BenchmarkRunner, seed: int = 0,
                                workers: Optional[int] = None,
                                executor: Optional[TrialExecutor] = None
                                ) -> Dict[str, Summary]:
-    """Parallel version of :func:`repro.validation.harness.ethernet_baseline`."""
+    """Summaries of the benchmark over the raw modulation Ethernet.
+
+    :func:`repro.validation.harness.ethernet_baseline` is this with
+    ``workers=1``.  The trials carry the same fingerprints as
+    :func:`run_validation`'s baseline trials, so a baseline repeated on
+    one executor is read back, not rerun.
+    """
     exe, owned = _executor_for(workers, executor)
     try:
         variants = runner.variants()
-        specs = [TrialSpec(kind="ethernet", seed=seed, trial=t,
-                           runner=variant)
+        specs = [_fingerprinted(TrialSpec(kind="ethernet", seed=seed,
+                                          trial=t, runner=variant))
                  for variant in variants for t in range(trials)]
         results = exe.map(specs)
         out: Dict[str, Summary] = {}

@@ -38,7 +38,12 @@ from repro.runtime import (
     parse_hosts,
     resolve_hosts,
 )
-from repro.runtime.backends import recv_frame
+from repro.runtime.backends import (
+    MAX_FRAME_BYTES,
+    BackendBroken,
+    recv_frame,
+    send_frame,
+)
 from repro.runtime.hosts import LocalLauncher
 from repro.runtime.sync import (
     SYNC_MAGIC,
@@ -252,6 +257,32 @@ class TestSyncFrames:
     def test_wrong_payload_shape_rejected(self):
         with pytest.raises(SyncError):
             encode_sync("PUT", {"k": "not-bytes"})
+
+
+class TestFrameLength:
+    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2 ** 33,
+                                        2 ** 40, 2 ** 62])
+    def test_forged_length_rejected_before_body(self, length):
+        a, b = socket.socketpair()
+        b.settimeout(5.0)
+        try:
+            # Header only: a receiver that trusted it would allocate
+            # ``length`` bytes (MemoryError) or block on the body.
+            a.sendall(length.to_bytes(8, "little"))
+            with pytest.raises(BackendBroken):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_frame_roundtrip_under_limit(self):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, ("chunk", 7, b"x" * 4096))
+            assert recv_frame(b) == ("chunk", 7, b"x" * 4096)
+        finally:
+            a.close()
+            b.close()
 
 
 class TestArtifactDedup:

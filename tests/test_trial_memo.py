@@ -14,6 +14,7 @@ alike:
 * a cache attached to an executor whose backend is already running
   still receives every artifact, so a fresh executor over it then
   recomputes nothing;
+* an Ethernet baseline repeated on one executor is read back whole;
 * the scratch store is made lazily and is gone after ``shutdown()``.
 """
 
@@ -26,6 +27,8 @@ from repro.scenarios import scenario_by_name
 from repro.validation import (
     FtpRunner,
     characterize_scenario_parallel,
+    ethernet_baseline,
+    ethernet_baseline_parallel,
     run_validation,
 )
 from repro.validation.parallel import TrialExecutor
@@ -97,6 +100,21 @@ def test_cache_attached_to_a_running_executor_gets_every_artifact(
     assert warm.cache_misses == 0
     assert warm.cache_hits == cold.cache_misses
     assert warm.render() == cold.render() == scratch.render()
+
+
+@WORKERS
+def test_repeated_ethernet_baseline_is_read_back(workers):
+    with TrialExecutor(workers=workers) as exe:
+        first = ethernet_baseline_parallel(RUNNER, seed=0, trials=2,
+                                           executor=exe)
+        # Two variants (send, recv) of two trials each, all new.
+        assert memo_stats(exe) == (0, 4)
+        second = ethernet_baseline_parallel(RUNNER, seed=0, trials=2,
+                                            executor=exe)
+        # The second call submits nothing: every trial is a memo hit.
+        assert memo_stats(exe) == (4, 4)
+    assert second == first
+    assert ethernet_baseline(RUNNER, seed=0, trials=2) == first
 
 
 @WORKERS
