@@ -2,23 +2,20 @@
 """Distributed-sweep scaling benchmark and fleet-equivalence gate.
 
 Produces ``BENCH_distributed.json`` at the repo root, characterizing
-the multi-node execution fabric against the single-machine pool it
-grew out of:
+the multi-node configuration against local workers on one machine:
 
 * ``scaling efficiency`` — wall clock of one warmed validation sweep
-  on a 2-pseudo-host remote fleet (4 workers each, private stores,
-  full artifact-sync plane) vs the same sweep on one 8-worker pool.
-  The fleet pays process launch, socket framing and artifact sync;
-  the gate is that it keeps **>= 0.8** of the pool's throughput, so
-  going distributed is never a large regression on one box — it only
-  unlocks more boxes.
-* ``artifact-sync economy`` — bytes moved by the fingerprint-keyed
-  FETCH/HAVE plane in the remote leg vs the bulk result bytes the
-  pickle data plane ships over the pool pipe.  Content addressing
-  must move a small fraction of what bulk shipping would.
+  on a 2-pseudo-host fleet (4 workers each, private stores, full
+  artifact-sync plane) vs the same sweep on ``--workers 8`` (local
+  workers sharing the parent's store, at most cores + 1 of them).
+  The fleet pays private stores and artifact sync; the gate is that
+  it keeps **>= 0.8** of the local workers' throughput, so going
+  distributed is never a large regression on one box — it only
+  unlocks more boxes.  The bytes the FETCH/HAVE plane moved are
+  recorded with the fleet leg.
 * ``dispatch overhead`` — the work-stealing scheduler's bookkeeping
   must stay **<= 2%** of sweep wall on every leg (the same gate
-  ``bench_runtime.py`` pins for the in-machine backends).
+  ``bench_runtime.py`` pins).
 * ``fleet equivalence`` — every leg renders the serial table byte for
   byte.
 
@@ -53,17 +50,17 @@ DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_distributed.json")
 SCALING_EFFICIENCY_LIMIT = 0.8
 DISPATCH_OVERHEAD_LIMIT = 0.02
 HOSTS = "local:4,local:4"
-POOL_WORKERS = 8
+LOCAL_WORKERS = 8
 
 
 def bench_leg(ftp_bytes: int, trials: int, seeds: int, *,
-              workers: Optional[int], transport: str,
+              workers: Optional[int] = None,
               hosts: Optional[str] = None) -> Dict[str, object]:
-    """One warmed validation sweep on one backend configuration."""
+    """One warmed validation sweep on one configuration."""
     runner = FtpRunner(nbytes=ftp_bytes)
-    exe = TrialExecutor(workers=workers, transport=transport, hosts=hosts)
+    exe = TrialExecutor(workers=workers, hosts=hosts)
     try:
-        # Untimed warm-up: backend start (fleet launch for the remote
+        # Untimed warm-up: worker start (fleet launch for the remote
         # leg), registry + import heat on every worker.  Its seed is
         # past the timed sweep's, so none of the timed trials is read
         # back from the executor's scratch store.
@@ -83,13 +80,11 @@ def bench_leg(ftp_bytes: int, trials: int, seeds: int, *,
             "workers_used": exe.effective_workers,
             "wall_seconds": round(wall, 3),
             "dispatch_fraction": round(dispatch_ns / (wall * 1e9), 5),
-            "ipc_bytes_recv": (int(stats.get("ipc_bytes_recv") or 0)
-                               - int(before.get("ipc_bytes_recv") or 0)),
             "fallback_reason": exe.fallback_reason,
             "table": sweep.render(),
         }
         backend = stats.get("backend")
-        if backend:
+        if hosts is not None and backend:
             sync = backend.get("sync") or {}
             leg["fleet"] = {
                 "nodes": [{k: n[k] for k in ("host", "workers",
@@ -126,35 +121,21 @@ def main(argv=None) -> int:
 
     print(f"sweep: {len(ALL_SCENARIOS)} scenarios, ftp {ftp_bytes:,}B "
           f"x{trials} trials x{seeds} seed(s), baseline on")
-    serial = bench_leg(ftp_bytes, trials, seeds, workers=1,
-                       transport="auto")
+    serial = bench_leg(ftp_bytes, trials, seeds, workers=1)
     print(f"  serial              {serial['wall_seconds']:7.2f}s")
-    pool_pickle = bench_leg(ftp_bytes, trials, seeds,
-                            workers=POOL_WORKERS, transport="pickle")
-    print(f"  pool x{POOL_WORKERS} (pickle)   "
-          f"{pool_pickle['wall_seconds']:7.2f}s")
-    pool = bench_leg(ftp_bytes, trials, seeds, workers=POOL_WORKERS,
-                     transport="auto")
-    print(f"  pool x{POOL_WORKERS} (envelope) {pool['wall_seconds']:7.2f}s")
-    remote = bench_leg(ftp_bytes, trials, seeds, workers=None,
-                       transport="remote", hosts=HOSTS)
+    local = bench_leg(ftp_bytes, trials, seeds, workers=LOCAL_WORKERS)
+    print(f"  --workers {LOCAL_WORKERS} (x{local['workers_used']})"
+          f"    {local['wall_seconds']:7.2f}s")
+    remote = bench_leg(ftp_bytes, trials, seeds, hosts=HOSTS)
     print(f"  remote {HOSTS}  {remote['wall_seconds']:7.2f}s")
 
-    tables_identical = (serial["table"] == pool_pickle["table"]
-                        == pool["table"] == remote["table"])
+    tables_identical = (serial["table"] == local["table"]
+                        == remote["table"])
     efficiency = round(
-        float(pool["wall_seconds"]) / float(remote["wall_seconds"]), 4)
-    # The pickle leg exists for the byte-economy comparison; its
-    # dispatch fraction includes pickling every bulk payload, which is
-    # exactly what the envelope/remote data planes exist to avoid, so
-    # the 2% gate covers the default planes (same gate as
-    # bench_runtime.py).
+        float(local["wall_seconds"]) / float(remote["wall_seconds"]), 4)
     overhead = max(float(leg["dispatch_fraction"])
-                   for leg in (serial, pool, remote))
+                   for leg in (serial, local, remote))
     sync_bytes = int(remote["fleet"]["sync_bytes_fetched"])
-    bulk_bytes = int(pool_pickle["ipc_bytes_recv"])
-    sync_ratio = (round(sync_bytes / bulk_bytes, 4) if bulk_bytes
-                  else None)
 
     result: Dict[str, object] = {
         "benchmark": "distributed_sweep",
@@ -165,21 +146,17 @@ def main(argv=None) -> int:
             "trials": trials,
             "seeds": seeds,
             "hosts": HOSTS,
-            "pool_workers": POOL_WORKERS,
+            "local_workers": LOCAL_WORKERS,
             "baseline": True,
         },
         "legs": {
             name: {k: v for k, v in leg.items() if k != "table"}
-            for name, leg in (("serial", serial),
-                              ("pool_pickle", pool_pickle),
-                              ("pool_envelope", pool),
+            for name, leg in (("serial", serial), ("workers", local),
                               ("remote", remote))
         },
         "scaling_efficiency": efficiency,
         "scaling_efficiency_limit": SCALING_EFFICIENCY_LIMIT,
         "artifact_sync_bytes": sync_bytes,
-        "bulk_result_bytes": bulk_bytes,
-        "sync_to_bulk_ratio": sync_ratio,
         "dispatch_overhead_fraction": round(overhead, 5),
         "dispatch_overhead_limit": DISPATCH_OVERHEAD_LIMIT,
         "tables_identical": tables_identical,
@@ -191,14 +168,12 @@ def main(argv=None) -> int:
         json.dump(result, f, indent=2)
         f.write("\n")
 
-    print(f"\nscaling efficiency (pool/remote) : {efficiency:.2f} "
+    print(f"\nscaling efficiency (workers/remote) : {efficiency:.2f} "
           f"(limit {SCALING_EFFICIENCY_LIMIT})")
-    print(f"artifact-sync vs bulk bytes      : {sync_bytes:,} / "
-          f"{bulk_bytes:,}"
-          + (f" ({sync_ratio:.1%})" if sync_ratio is not None else ""))
-    print(f"dispatch overhead (worst leg)    : {overhead:.3%} "
+    print(f"artifact-sync bytes fetched         : {sync_bytes:,}")
+    print(f"dispatch overhead (worst leg)       : {overhead:.3%} "
           f"(limit {DISPATCH_OVERHEAD_LIMIT:.0%})")
-    print(f"tables identical                 : {tables_identical}")
+    print(f"tables identical                    : {tables_identical}")
     print(f"[written to {args.out}]")
 
     failed = not tables_identical

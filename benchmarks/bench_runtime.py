@@ -1,8 +1,12 @@
 #!/usr/bin/env python
-"""Runtime dispatch-overhead benchmark and backend-equivalence gate.
+"""Runtime dispatch-overhead benchmark and equivalence gate.
 
 Produces ``BENCH_runtime.json`` at the repo root, characterizing the
-``repro.runtime`` layer itself rather than the simulations it drives:
+``repro.runtime`` layer itself rather than the simulations it drives.
+Three legs run the same warmed sweep: ``serial`` (``workers=1``,
+inline), ``workers`` (``--workers N`` local workers) and ``fleet``
+(``--hosts local:N/2,local:N/2``, two pseudo-hosts with private stores
+and the artifact-sync plane).
 
 * ``dispatch overhead`` — the wall time the scheduler spends inside
   ``submit_jobs`` (chunking, fingerprint cache lookups, pickling,
@@ -11,11 +15,12 @@ Produces ``BENCH_runtime.json`` at the repo root, characterizing the
   This is the number that must not regress now that validate, check,
   golden and fuzz all route through one generic scheduler instead of
   the old trial-specific pool loop.
+* ``parallel vs serial`` — the warm ``workers`` sweep must not be
+  slower than the warm serial sweep.  **Gate: speedup >= 1.0.**
 * ``echo micro`` — per-job round-trip cost of the pure runtime on
-  every backend (serial inline, warm pool, loopback socket), measured
-  with the zero-work ``echo`` job kind, so backend overhead is visible
-  without simulation noise.
-* ``backend equivalence`` — the pool and socket sweeps must render the
+  every leg, measured with the zero-work ``echo`` job kind, so backend
+  overhead is visible without simulation noise.
+* ``equivalence`` — the workers and fleet sweeps must render the
   serial sweep's table byte for byte.
 
 Full mode adds a ``check`` leg (two scenarios through the invariant
@@ -35,7 +40,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,13 +68,26 @@ def _echo_jobs(count: int) -> List[Job]:
                 cost_hint=0.1) for i in range(count)]
 
 
-def bench_sweep(ftp_bytes: int, trials: int, workers: int,
-                transport: str) -> Dict[str, object]:
+def fleet_hosts(workers: int) -> str:
+    """Two local pseudo-hosts sharing ``workers`` between them."""
+    half = max(1, workers // 2)
+    return f"local:{half},local:{max(1, workers - half)}"
+
+
+def legs(workers: int) -> Dict[str, Dict[str, object]]:
+    """Executor arguments of the three legs."""
+    return {"serial": {"workers": 1},
+            "workers": {"workers": workers},
+            "fleet": {"hosts": fleet_hosts(workers)}}
+
+
+def bench_sweep(ftp_bytes: int, trials: int, workers: Optional[int] = None,
+                hosts: Optional[str] = None) -> Dict[str, object]:
     """One warmed validation sweep; dispatch_ns vs wall."""
     runner = FtpRunner(nbytes=ftp_bytes)
-    exe = TrialExecutor(workers=workers, transport=transport)
+    exe = TrialExecutor(workers=workers, hosts=hosts)
     try:
-        # Untimed warm-up: pool start, registry + import heat.  Its
+        # Untimed warm-up: worker start, registry + import heat.  Its
         # seed is one the timed sweep does not use, so none of the
         # timed trials is read back from the executor's scratch store.
         run_validation([ALL_SCENARIOS[0]], runner, seed=1, trials=1,
@@ -95,12 +113,9 @@ def bench_sweep(ftp_bytes: int, trials: int, workers: int,
 
 
 def bench_echo(count: int, workers: int) -> Dict[str, object]:
-    """Per-job runtime cost with zero-work jobs, every backend."""
+    """Per-job runtime cost with zero-work jobs, every leg."""
     out: Dict[str, object] = {}
-    for name, kwargs in (("serial", {"workers": 1}),
-                         ("pool", {"workers": workers}),
-                         ("socket", {"workers": workers,
-                                     "transport": "socket"})):
+    for name, kwargs in legs(workers).items():
         exe = Scheduler(**kwargs)
         try:
             exe.map_jobs(_echo_jobs(8))        # warm the backend
@@ -120,7 +135,8 @@ def bench_echo(count: int, workers: int) -> Dict[str, object]:
 
 
 def bench_check(workers: int) -> Dict[str, object]:
-    """Two scenarios through the invariant pipeline, serial vs pool."""
+    """Two scenarios through the invariant pipeline, serial vs
+    local workers."""
     from repro.check.runner import SMOKE_FTP_BYTES, check_all
 
     names = ["wean", "porter"]
@@ -154,7 +170,8 @@ def main(argv=None) -> int:
     ap.add_argument("--fail-on-regression", action="store_true",
                     help="exit non-zero if dispatch overhead exceeds "
                          f"{DISPATCH_OVERHEAD_LIMIT:.0%} of sweep wall "
-                         "or any backend renders a different table")
+                         "or the warm workers sweep is slower than the "
+                         "warm serial one")
     args = ap.parse_args(argv)
 
     ftp_bytes, trials = (200_000, 2) if args.quick else (2_000_000, 4)
@@ -162,19 +179,16 @@ def main(argv=None) -> int:
 
     print(f"sweep legs (4 scenarios, ftp {ftp_bytes:,}B x{trials} "
           f"trials)...")
-    serial = bench_sweep(ftp_bytes, trials, 1, "auto")
-    print(f"  serial  {serial['wall_seconds']:6.2f}s")
-    pool = bench_sweep(ftp_bytes, trials, args.workers, "auto")
-    print(f"  pool    {pool['wall_seconds']:6.2f}s "
-          f"dispatch {pool['dispatch_fraction']:.3%}")
-    socket_leg = bench_sweep(ftp_bytes, trials, args.workers, "socket")
-    print(f"  socket  {socket_leg['wall_seconds']:6.2f}s "
-          f"dispatch {socket_leg['dispatch_fraction']:.3%}")
+    sweeps = {}
+    for name, kwargs in legs(args.workers).items():
+        sweeps[name] = leg = bench_sweep(ftp_bytes, trials, **kwargs)
+        print(f"  {name:<7} {leg['wall_seconds']:6.2f}s "
+              f"dispatch {leg['dispatch_fraction']:.3%}")
 
-    tables_identical = (serial["table"] == pool["table"]
-                        == socket_leg["table"])
-    overhead = max(leg["dispatch_fraction"]
-                   for leg in (serial, pool, socket_leg))
+    tables_identical = len({leg["table"] for leg in sweeps.values()}) == 1
+    overhead = max(leg["dispatch_fraction"] for leg in sweeps.values())
+    speedup = (float(sweeps["serial"]["wall_seconds"])
+               / float(sweeps["workers"]["wall_seconds"]))
 
     print(f"echo micro ({echo_count} jobs per backend)...")
     echo_legs = bench_echo(echo_count, args.workers)
@@ -189,16 +203,17 @@ def main(argv=None) -> int:
             "ftp_bytes": ftp_bytes,
             "trials": trials,
             "workers": args.workers,
+            "hosts": fleet_hosts(args.workers),
             "baseline": True,
         },
         "sweep_legs": {
             name: {k: v for k, v in leg.items() if k != "table"}
-            for name, leg in (("serial", serial), ("pool", pool),
-                              ("socket", socket_leg))
+            for name, leg in sweeps.items()
         },
         "echo_legs": echo_legs,
         "dispatch_overhead_fraction": round(overhead, 5),
         "dispatch_overhead_limit": DISPATCH_OVERHEAD_LIMIT,
+        "speedup_workers_vs_serial": round(speedup, 3),
         "tables_identical": tables_identical,
     }
     if not args.quick:
@@ -207,6 +222,7 @@ def main(argv=None) -> int:
         result["check_leg"] = bench_check(args.workers)
         print(f"  speedup {result['check_leg']['speedup']:.2f}x")
     result["dispatch_regression"] = overhead > DISPATCH_OVERHEAD_LIMIT
+    result["parallel_regression"] = speedup < 1.0
 
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
@@ -214,6 +230,7 @@ def main(argv=None) -> int:
 
     print(f"\ndispatch overhead (worst leg) : {overhead:.3%} "
           f"(limit {DISPATCH_OVERHEAD_LIMIT:.0%})")
+    print(f"workers vs serial (warm)      : {speedup:.2f}x")
     print(f"tables identical              : {tables_identical}")
     print(f"[written to {args.out}]")
 
@@ -221,6 +238,10 @@ def main(argv=None) -> int:
     if result["dispatch_regression"]:
         print("WARNING: scheduler dispatch overhead above limit "
               "(dispatch_regression)", file=sys.stderr)
+        failed = failed or args.fail_on_regression
+    if result["parallel_regression"]:
+        print("WARNING: warm workers sweep slower than serial "
+              "(parallel_regression)", file=sys.stderr)
         failed = failed or args.fail_on_regression
     return 1 if failed else 0
 

@@ -16,7 +16,7 @@ OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
 TRIALS = 4
 SEED = 0
-# Validation sweeps fan trials out over a process pool; results are
+# Validation sweeps fan trials out over worker processes; results are
 # bit-identical for any worker count (see docs/PERFORMANCE.md), so this
 # only changes wall-clock time.  Override with REPRO_BENCH_WORKERS=1 to
 # force serial runs.

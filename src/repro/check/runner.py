@@ -311,15 +311,13 @@ def check_all(scenarios: Optional[Iterable[str]] = None, seed: int = 0,
               trial: int = 0, ftp_bytes: int = DEFAULT_FTP_BYTES,
               monitors: Optional[Iterable] = None,
               cache=None, workers: Optional[int] = None,
-              transport: str = "auto",
               executor=None) -> List[CheckReport]:
     """`check_scenario` over every scenario (default: all four).
 
-    With ``workers`` > 1, ``transport="socket"`` or a caller-supplied
-    runtime ``executor``
+    With ``workers`` > 1 or a caller-supplied runtime ``executor``
     (:class:`~repro.runtime.scheduler.Scheduler`), scenarios fan out
     through the unified runtime — reports come back in scenario order
-    and are byte-identical to the serial loop on every backend.
+    and are byte-identical to the serial loop for every worker count.
     Custom ``monitors`` (live objects, not necessarily picklable)
     force the serial path.
     """
@@ -328,8 +326,7 @@ def check_all(scenarios: Optional[Iterable[str]] = None, seed: int = 0,
     else:
         names = list(scenarios)
     cache_pipeline = as_pipeline(cache)
-    parallel = (executor is not None or (workers or 1) > 1
-                or transport == "socket")
+    parallel = executor is not None or (workers or 1) > 1
     if monitors is not None or not parallel:
         return [check_scenario(name, seed=seed, trial=trial,
                                ftp_bytes=ftp_bytes, monitors=monitors,
@@ -342,7 +339,7 @@ def check_all(scenarios: Optional[Iterable[str]] = None, seed: int = 0,
     if executor is None:
         from ..runtime.scheduler import Scheduler
 
-        executor = Scheduler(workers=workers, transport=transport)
+        executor = Scheduler(workers=workers)
         owned = True
     try:
         return executor.map_jobs(jobs)

@@ -1,10 +1,10 @@
 """``repro.runtime`` — the unified execution runtime.
 
-One scheduler, pluggable backends, generic jobs: every bulk workload
+One scheduler, one process backend, generic jobs: every bulk workload
 in the repo (validation sweeps, invariant checks, golden regeneration,
 scenario fuzzing) drives through this package, and all of them produce
-byte-identical output on every backend.  See ``docs/RUNTIME.md`` for
-the job lifecycle, the Backend protocol, and how to add a backend.
+byte-identical output for every ``workers`` and ``hosts``.  See
+``docs/RUNTIME.md`` for the job lifecycle and the backend.
 
 Layering (lowest first):
 
@@ -12,18 +12,17 @@ Layering (lowest first):
     :class:`Job` / :class:`JobResult` — the unit of work and its wire
     result; runner references; the job-kind registry.
 ``backends``
-    The :class:`Backend` protocol and its in-machine implementations
-    (:class:`SerialBackend`, :class:`PoolBackend`), plus the
-    worker-side chunk executor every backend shares.
+    The error taxonomy, wire framing and protocol constants, and the
+    worker-side state and chunk executor.
 ``sync`` / ``hosts``
     The multi-node substrate: FETCH/HAVE artifact-sync frames, and
     host inventory (``--hosts a:4,b:8`` / TOML) with the
     :class:`WorkerLauncher` bootstrap interface.
 ``remote``
-    :class:`RemoteBackend` — the multi-node fleet (work-stealing
-    dispatch, heartbeats, re-dispatch, fingerprint-keyed artifact
-    sync) — and :class:`LoopbackSocketBackend`, its one-host
-    shared-store configuration.
+    :class:`RemoteBackend` — the worker processes (work-stealing
+    dispatch, token-authenticated connections, heartbeats,
+    re-dispatch, fingerprint-keyed artifact sync), as one local
+    pseudo-host for ``workers=N`` or the fleet ``hosts`` describes.
 ``scheduler``
     :class:`Scheduler` — work-stealing chunking, ordering, caching,
     retry, rehydration, interrupt teardown.
@@ -33,12 +32,8 @@ Layering (lowest first):
 """
 
 from .backends import (
-    Backend,
     BackendBroken,
     BackendUnavailable,
-    PoolBackend,
-    SerialBackend,
-    execute_wire_chunk,
     execute_wire_chunk_keys,
     worker_store,
 )
@@ -63,13 +58,9 @@ from .job import (
     resolve_runner,
     runner_ref,
 )
-from .remote import (
-    LoopbackSocketBackend,
-    RemoteBackend,
-)
+from .remote import RemoteBackend
 from .scheduler import (
     CHUNK_THRESHOLD,
-    TRANSPORTS,
     JobFuture,
     Scheduler,
     default_workers,
@@ -88,7 +79,6 @@ from .sync import (
 )
 
 __all__ = [
-    "Backend",
     "BackendBroken",
     "BackendUnavailable",
     "CHUNK_THRESHOLD",
@@ -100,23 +90,18 @@ __all__ = [
     "JobResult",
     "JobTransportError",
     "LocalLauncher",
-    "LoopbackSocketBackend",
-    "PoolBackend",
     "RemoteBackend",
     "ResultEnvelope",
     "RuntimeSession",
     "Scheduler",
-    "SerialBackend",
     "SshLauncher",
     "SyncError",
-    "TRANSPORTS",
     "TransportFailure",
     "WorkerLauncher",
     "command_ledger_record",
     "decode_sync",
     "default_workers",
     "encode_sync",
-    "execute_wire_chunk",
     "execute_wire_chunk_keys",
     "launcher_for",
     "load_hosts_file",

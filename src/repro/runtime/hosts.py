@@ -20,7 +20,8 @@ into running ``python -m repro.runtime.worker`` processes behind one
     ``PYTHONPATH`` (``remote_python`` / ``remote_pythonpath`` in the
     hosts file override both).
 
-Launchers only start processes; the protocol the workers then speak —
+Launchers only start processes and hand each one the backend's
+authentication token on stdin; the protocol the workers then speak —
 frames, heartbeats, artifact sync — lives in
 :mod:`repro.runtime.remote` and :mod:`repro.runtime.worker`.
 """
@@ -73,10 +74,21 @@ class HostSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise HostsError("host name must be non-empty")
-        if not 1 <= self.workers <= _MAX_WORKERS_PER_HOST:
+        if self.workers < 1:
             raise HostsError(
-                f"host {self.name!r}: workers must be in "
-                f"1..{_MAX_WORKERS_PER_HOST}, got {self.workers}")
+                f"host {self.name!r}: workers must be at least 1, "
+                f"got {self.workers}")
+
+
+def _host_entry(name: str, workers: int, **ssh) -> HostSpec:
+    """A host written by the user: a :class:`HostSpec` whose worker
+    count is also held to the per-host ceiling.  (The one-host fleet
+    ``--workers N`` builds is sized by the core count instead.)"""
+    if not 1 <= workers <= _MAX_WORKERS_PER_HOST:
+        raise HostsError(
+            f"host {name!r}: workers must be in "
+            f"1..{_MAX_WORKERS_PER_HOST}, got {workers}")
+    return HostSpec(name=name, workers=workers, **ssh)
 
 
 def parse_hosts(text: str) -> List[HostSpec]:
@@ -109,7 +121,7 @@ def parse_hosts(text: str) -> List[HostSpec]:
             raise HostsError(f"duplicate host {name!r}")
         else:
             seen[name] = 1
-        specs.append(HostSpec(name=name, workers=workers))
+        specs.append(_host_entry(name, workers))
     if not specs:
         raise HostsError("no hosts given")
     return specs
@@ -160,9 +172,9 @@ def load_hosts_file(path: Path) -> List[HostSpec]:
             raise HostsError(f"hosts file {path}: duplicate host {name!r}")
         else:
             seen[name] = 1
-        specs.append(HostSpec(
-            name=name,
-            workers=workers,
+        specs.append(_host_entry(
+            name,
+            workers,
             ssh_user=entry.get("ssh_user"),
             remote_python=entry.get("remote_python"),
             remote_pythonpath=entry.get("remote_pythonpath"),
@@ -176,11 +188,28 @@ def load_hosts_file(path: Path) -> List[HostSpec]:
 class WorkerLauncher(Protocol):
     """Starts one worker process for a host and hands back its
     :class:`subprocess.Popen`.  The returned process must run
-    ``python -m repro.runtime.worker`` with ``argv`` appended; the
-    worker dials the parent back over TCP, so launchers never need a
-    return channel of their own."""
+    ``python -m repro.runtime.worker`` with ``argv`` appended and
+    ``token`` on its stdin (never in argv, which other local users can
+    read); the worker dials the parent back over TCP, so launchers
+    never need a return channel of their own."""
 
-    def launch(self, argv: Sequence[str]) -> subprocess.Popen: ...
+    def launch(self, argv: Sequence[str],
+               token: bytes) -> subprocess.Popen: ...
+
+
+def _popen_with_token(cmd: Sequence[str], token: bytes,
+                      env: Optional[Dict[str, str]] = None
+                      ) -> subprocess.Popen:
+    """Start ``cmd`` with ``token`` as its whole stdin."""
+    proc = subprocess.Popen(list(cmd), env=env, stdin=subprocess.PIPE)
+    try:
+        proc.stdin.write(token)
+        proc.stdin.close()
+    except OSError:
+        # The process died before reading; it never connects, and the
+        # backend's accept timeout reports that.
+        pass
+    return proc
 
 
 def _pkg_root() -> str:
@@ -197,7 +226,8 @@ class LocalLauncher:
 
     env_extra: Dict[str, str] = field(default_factory=dict)
 
-    def launch(self, argv: Sequence[str]) -> subprocess.Popen:
+    def launch(self, argv: Sequence[str],
+               token: bytes) -> subprocess.Popen:
         import os
 
         env = dict(os.environ)
@@ -206,11 +236,10 @@ class LocalLauncher:
         env["PYTHONPATH"] = (f"{root}{os.pathsep}{existing}"
                              if existing else root)
         env.update(self.env_extra)
-        return subprocess.Popen(
+        return _popen_with_token(
             [sys.executable, "-m", "repro.runtime.worker", *argv],
-            env=env,
-            stdin=subprocess.DEVNULL,
-        )
+            token, env=env)
+
 
 @dataclass
 class SshLauncher:
@@ -224,7 +253,8 @@ class SshLauncher:
     spec: HostSpec
     connect_timeout_s: int = 10
 
-    def launch(self, argv: Sequence[str]) -> subprocess.Popen:
+    def launch(self, argv: Sequence[str],
+               token: bytes) -> subprocess.Popen:
         python = self.spec.remote_python or "python3"
         target = self.spec.name.split("#", 1)[0]
         if self.spec.ssh_user:
@@ -235,12 +265,12 @@ class SshLauncher:
                 "env", f"PYTHONPATH={self.spec.remote_pythonpath}",
                 *remote_cmd,
             ]
-        return subprocess.Popen(
+        # ssh forwards its stdin to the remote command's stdin.
+        return _popen_with_token(
             ["ssh", "-o", "BatchMode=yes",
              "-o", f"ConnectTimeout={self.connect_timeout_s}",
              target, *remote_cmd],
-            stdin=subprocess.DEVNULL,
-        )
+            token)
 
 
 def launcher_for(spec: HostSpec) -> WorkerLauncher:

@@ -9,17 +9,15 @@ actually needs to know:
     A ``"module:qualname"`` reference to a module-level function
     ``fn(payload) -> result``.  Shipping the *reference* (not the
     function) keeps jobs picklable by value and lets freshly spawned
-    worker processes (the loopback-socket backend) resolve the same
-    function by import.  Resolution is memoized per process.
+    worker processes resolve the same function by import.  Resolution
+    is memoized per process.
 ``payload``
-    The runner's argument.  Three variants cover the transport
-    spectrum: ``payload`` is what in-process execution uses (it may
-    hold live handles like an open :class:`~repro.pipeline.Pipeline`);
-    ``wire_payload``, when set, is the picklable stand-in shipped to
-    remote workers; ``slim_payload``, when set, additionally replaces
-    the wire copy while the envelope (store-mediated) data plane is
-    active — the variant that strips bulk inputs down to shared-store
-    references a worker can resolve locally.
+    The runner's argument, as in-process execution uses it (it may
+    hold live handles like an open :class:`~repro.pipeline.Pipeline`,
+    or bulk inputs).  ``wire_payload``, when set, is the stand-in
+    shipped to workers instead: picklable, with bulk inputs stripped
+    down to store references (``input_refs``) a worker resolves from
+    its own store.
 ``fingerprint``
     The content-addressed identity of the job's result, when it has
     one.  The scheduler uses it for artifact-cache lookups before
@@ -31,8 +29,8 @@ actually needs to know:
     affect results).
 
 :class:`JobResult` is the codec-framed unit a worker sends back per
-job: exactly one of a raw value (rode the pipe), a
-:class:`ResultEnvelope` naming the shared-store artifact holding the
+job: exactly one of a raw value (rode the reply frame), a
+:class:`ResultEnvelope` naming the store artifact holding the
 encoded result, or a :class:`TransportFailure` that tells the parent
 to re-execute the job in process.  The scheduler unwraps these; the
 contract that makes every backend interchangeable is that unwrapping a
@@ -79,24 +77,22 @@ class Job:
     label: str = ""
     fingerprint: Optional[str] = None
     cost_hint: float = 1.0
-    # Remote-execution payload variants (see module docstring).
+    # What workers receive in place of ``payload`` (see module
+    # docstring).
     wire_payload: Any = None
-    slim_payload: Any = None
-    # Shared-store keys the slim payload references (e.g. a modulated
-    # trial's ``replay_ref``).  Multi-node backends sync these to a
-    # node's private store — deduplicated with HAVE frames — before
-    # dispatching the chunk there; single-machine backends, whose
-    # workers share the parent's store, ignore them.
+    # Store keys the wire payload references (e.g. a modulated trial's
+    # ``replay_ref``).  A ``--hosts`` fleet syncs these to a node's
+    # private store — deduplicated with HAVE frames — before
+    # dispatching the chunk there; local workers, which share the
+    # parent's store, already have them.
     input_refs: tuple = ()
 
     def span_label(self) -> str:
         """How this job appears in the sweep timeline."""
         return self.label or self.kind
 
-    def for_wire(self, envelope: bool) -> Any:
-        """The payload variant to ship to a remote worker."""
-        if envelope and self.slim_payload is not None:
-            return self.slim_payload
+    def for_wire(self) -> Any:
+        """The payload to ship to a worker."""
         if self.wire_payload is not None:
             return self.wire_payload
         return self.payload
@@ -104,8 +100,8 @@ class Job:
 
 @dataclass(frozen=True)
 class ResultEnvelope:
-    """What a worker returns instead of a bulk result: the shared-store
-    key holding the encoded artifact, its content digest (verified by
+    """What a worker returns instead of a bulk result: the store key
+    holding the encoded artifact, its content digest (verified by
     the parent before use), and the worker-side cost counters."""
 
     key: str
@@ -125,7 +121,7 @@ class TransportFailure:
 @dataclass(frozen=True)
 class JobResult:
     """One executed job's wire representation: exactly one of ``value``
-    (small result, rode the pipe), ``envelope`` (store-mediated
+    (small result, rode the reply frame), ``envelope`` (store-mediated
     handoff) or ``failure`` (re-execute in the parent).
 
     ``value`` uses a sentinel-free encoding: ``has_value`` disambiguates

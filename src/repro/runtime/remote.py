@@ -1,23 +1,26 @@
-"""The multi-node execution fabric: :class:`RemoteBackend`.
+"""The process backend: :class:`RemoteBackend`.
 
-One backend generalizes every socket-reached worker fleet:
+One backend runs every worker process, in two configurations told
+apart only by whether hosts were given:
 
-* ``repro validate --hosts a:4,b:8`` — real hosts, bootstrapped over
-  SSH (:mod:`repro.runtime.hosts`), each node owning a *private*
-  :class:`~repro.pipeline.ArtifactStore`;
-* ``--hosts local:2,local:2`` — N pseudo-hosts on this machine, same
-  private stores, same sync plane, so CI exercises the entire
-  multi-node path on one box;
-* ``--transport socket`` — :class:`LoopbackSocketBackend`, now a
-  one-pseudo-host :class:`RemoteBackend` whose node store *is* the
-  parent's shared store (no sync plane needed on one machine).
+* ``--workers N`` — one local pseudo-host of N workers whose store *is*
+  the parent's memo store, so a sealed result is already where the
+  parent reads it (no sync plane on one machine);
+* ``--hosts a:4,b:8`` — real hosts, bootstrapped over SSH
+  (:mod:`repro.runtime.hosts`), each node owning a *private*
+  :class:`~repro.pipeline.ArtifactStore`; ``--hosts local:2,local:2``
+  runs N such pseudo-hosts on this machine, same private stores, same
+  sync plane, so CI exercises the entire multi-node path on one box.
 
-Workers are ``python -m repro.runtime.worker`` processes that dial the
-parent's listener back and speak protocol v2 (see
-:mod:`repro.runtime.worker`): the parent sends ``("chunk", id, wire,
-envelope, telemetry_ctx)``, the worker streams ``("hb", id)``
-heartbeats while executing and finishes with ``("done", id, ok,
-payload, sealed_keys, njobs)``.
+Workers are ``python -m repro.runtime.worker`` processes that read a
+per-start token from stdin and dial the parent's listener back.  The
+first bytes on every connection are that token; the parent compares it
+with :func:`hmac.compare_digest` before it decodes anything else, and
+drops a connection that does not hold it.  Then the protocol of
+:mod:`repro.runtime.worker` runs: the parent sends ``("chunk", id,
+wire, telemetry_ctx)``, the worker streams ``("hb", id)`` heartbeats
+while executing and finishes with ``("done", id, ok, payload,
+sealed_keys, njobs)``.
 
 Dispatch is **pull-based**: chunks go into one shared queue and each
 worker's dispatcher thread takes the next one as its worker frees up —
@@ -45,11 +48,12 @@ matter how many nodes hold it.
 
 from __future__ import annotations
 
+import hmac
 import os
+import secrets
 import shutil
 import socket
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -59,9 +63,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..pipeline import ArtifactStore, codec
 from .backends import (
-    Backend,
+    AUTH_TOKEN_BYTES,
+    PROTOCOL_VERSION,
     BackendBroken,
     BackendUnavailable,
+    _recv_exact,
     recv_frame,
     send_frame,
 )
@@ -76,7 +82,6 @@ from .sync import (
 
 __all__ = [
     "MAX_DISPATCH_ATTEMPTS",
-    "LoopbackSocketBackend",
     "RemoteBackend",
 ]
 
@@ -84,21 +89,18 @@ __all__ = [
 # before its future fails over to in-process execution.
 MAX_DISPATCH_ATTEMPTS = 3
 
-PROTOCOL_VERSION = 2
-
 
 class _Chunk:
     """One submitted chunk riding the shared dispatch queue."""
 
-    __slots__ = ("chunk_id", "wire", "envelope", "telemetry_ctx",
-                 "input_refs", "future", "attempts")
+    __slots__ = ("chunk_id", "wire", "telemetry_ctx", "input_refs",
+                 "future", "attempts")
 
-    def __init__(self, chunk_id: int, wire: bytes, envelope: bool,
+    def __init__(self, chunk_id: int, wire: bytes,
                  telemetry_ctx: Optional[Tuple[str, int]],
                  input_refs: Sequence[str]):
         self.chunk_id = chunk_id
         self.wire = wire
-        self.envelope = envelope
         self.telemetry_ctx = telemetry_ctx
         self.input_refs = tuple(input_refs)
         self.future: Future = Future()
@@ -193,34 +195,50 @@ class _Conn:
         self.dead = False
 
 
-class RemoteBackend(Backend):
-    """Work-stealing execution across a fleet of worker nodes.
+class RemoteBackend:
+    """Work-stealing execution across a fleet of worker processes.
 
-    ``hosts`` describes the fleet (see :mod:`repro.runtime.hosts`).
-    With ``shared_store=True`` every node opens the parent's own
-    artifact store (single-machine loopback mode — no sync plane);
-    otherwise each node gets a private store root and one sync
-    connection, and artifacts move only by content key.
+    ``hosts`` describes a fleet (see :mod:`repro.runtime.hosts`): each
+    node gets a private store root and one sync connection, and
+    artifacts move only by content key.  Without ``hosts`` the backend
+    runs ``workers`` workers as one local pseudo-host that opens the
+    parent's own store, so no sync plane is needed.
+
+    ``start`` receives the parent's store root (``None`` when the memo
+    has no directory; workers then return every result inline) and
+    raises :class:`~repro.runtime.backends.BackendUnavailable` when the
+    workers cannot be brought up.  ``submit_chunk`` takes the
+    scheduler's opaque chunk frame and returns a future resolving to
+    the worker's reply frame; a dead backend surfaces as
+    :class:`~repro.runtime.backends.BackendBroken`, from
+    ``submit_chunk`` or from the future.  ``shutdown(cancel=True)``
+    additionally drops chunks that have not started (the Ctrl-C path).
     """
 
     name = "remote"
-    remote = True
 
     # A spawned worker must connect back within this long (cold-FS
     # imports are slow; a worker that crashes on startup fails faster).
     ACCEPT_TIMEOUT_S = 60.0
+    # A worker sends its token the moment it connects; a peer that has
+    # sent none after this long is dropped.
+    AUTH_TIMEOUT_S = 10.0
     # No frame (heartbeat or reply) from a busy worker for this long
     # means it is hung or dead: its chunk is re-dispatched.  Workers
     # heartbeat every second while executing.
     HEARTBEAT_TIMEOUT_S = 30.0
 
-    def __init__(self, hosts: Sequence[HostSpec],
-                 shared_store: bool = False):
-        self.hosts = list(hosts)
+    def __init__(self, hosts: Optional[Sequence[HostSpec]] = None,
+                 workers: int = 1):
+        self.shared_store = hosts is None
+        self.hosts = (list(hosts) if hosts is not None else
+                      [HostSpec(name="local#0", workers=max(1, workers))])
         if not self.hosts:
             raise ValueError("RemoteBackend needs at least one host")
-        self.shared_store = shared_store
         self.workers = sum(h.workers for h in self.hosts)
+        # Every worker proves it was launched by this backend by sending
+        # this first (see _authenticate).
+        self._token = secrets.token_bytes(AUTH_TOKEN_BYTES)
         self._nodes: List[_Node] = []
         self._conns: List[_Conn] = []
         self._listener: Optional[socket.socket] = None
@@ -239,26 +257,22 @@ class RemoteBackend(Backend):
         self._fetch_requests = 0
         self._fetch_keys: set = set()
 
-    def pool_size(self) -> int:
-        return self.workers
-
     # -- lifecycle ------------------------------------------------------
     def start(self, store_root: Optional[str]) -> None:
         if self._started:
             return
         all_local = all(h.is_local for h in self.hosts)
         bind_host = "127.0.0.1" if all_local else ""
+        private = not self._store_is_shared(store_root)
         try:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.bind((bind_host, 0))
-            total = self.workers + (0 if self._store_is_shared(store_root)
-                                    else len(self.hosts))
-            listener.listen(total)
+            listener.listen(self.workers
+                            + (len(self.hosts) if private else 0))
         except OSError as exc:
             raise BackendUnavailable(f"cannot bind fleet listener: {exc}")
         self._listener = listener
         port = listener.getsockname()[1]
-        private = not self._store_is_shared(store_root)
         if private:
             self._tmp = tempfile.mkdtemp(prefix="repro-fleet-")
             if store_root:
@@ -284,11 +298,11 @@ class RemoteBackend(Backend):
                 if node_root:
                     base += ["--store-root", node_root]
                 for _ in range(spec.workers):
-                    node.procs.append(launcher.launch(base))
+                    node.procs.append(launcher.launch(base, self._token))
                 expected[(spec.name, "worker")] = spec.workers
                 if private:
-                    node.procs.append(
-                        launcher.launch(base + ["--role", "sync"]))
+                    node.procs.append(launcher.launch(
+                        base + ["--role", "sync"], self._token))
                     expected[(spec.name, "sync")] = 1
         except OSError as exc:
             self.shutdown()
@@ -308,42 +322,89 @@ class RemoteBackend(Backend):
 
     def _accept_fleet(self, expected: Dict[Tuple[str, str], int]) -> None:
         """Collect every expected (node, role) connection, in whatever
-        order the worker processes come up."""
+        order the worker processes come up, then close the listener.
+
+        A connection whose first bytes are not the token is closed
+        unread and accepting goes on, so nothing an unauthenticated
+        peer sends is ever unpickled.  A peer that holds the token was
+        launched by this backend: a hello from it that is not
+        well-formed fails the start with the reason."""
         by_name = {node.spec.name: node for node in self._nodes}
         remaining = dict(expected)
-        self._listener.settimeout(self.ACCEPT_TIMEOUT_S)
         try:
+            self._listener.settimeout(self.ACCEPT_TIMEOUT_S)
             while any(count > 0 for count in remaining.values()):
                 sock, _addr = self._listener.accept()
+                if not self._authenticate(sock):
+                    sock.close()
+                    continue
+                try:
+                    hello = recv_frame(sock)
+                    node, role, pid = self._check_hello(hello, by_name,
+                                                        remaining)
+                except BackendUnavailable:
+                    sock.close()
+                    raise
+                except Exception as exc:  # noqa: BLE001 - any unpickling error
+                    sock.close()
+                    raise BackendUnavailable(
+                        f"unreadable fleet hello: "
+                        f"{type(exc).__name__}: {exc}")
                 sock.settimeout(None)
                 try:
                     sock.setsockopt(socket.IPPROTO_TCP,
                                     socket.TCP_NODELAY, 1)
                 except OSError:  # pragma: no cover - platform quirk
                     pass
-                hello = recv_frame(sock)
-                name = hello.get("node", "")
-                role = hello.get("role", "worker")
-                proto = hello.get("proto", 1)
-                node = by_name.get(name)
-                if node is None or proto != PROTOCOL_VERSION \
-                        or remaining.get((name, role), 0) <= 0:
-                    sock.close()
-                    raise BackendUnavailable(
-                        f"unexpected fleet hello {hello!r}")
-                remaining[(name, role)] -= 1
+                remaining[(node.spec.name, role)] -= 1
                 if role == "sync":
                     node.sync = _SyncChannel(sock)
                 else:
-                    self._conns.append(
-                        _Conn(sock, node, int(hello.get("pid", 0))))
-        except (socket.timeout, OSError, BackendBroken) as exc:
+                    self._conns.append(_Conn(sock, node, pid))
+        except BackendUnavailable:
+            self.shutdown()
+            raise
+        except (OSError, BackendBroken) as exc:
             self.shutdown()
             raise BackendUnavailable(
                 f"fleet worker failed to connect: {exc}")
-        finally:
-            if self._listener is not None:
-                self._listener.settimeout(None)
+        self._listener.close()
+        self._listener = None
+
+    def _authenticate(self, sock: socket.socket) -> bool:
+        """Whether the peer's first bytes are this backend's token (a
+        short read or silence past ``AUTH_TIMEOUT_S`` is a mismatch)."""
+        try:
+            sock.settimeout(self.AUTH_TIMEOUT_S)
+            token = _recv_exact(sock, AUTH_TOKEN_BYTES)
+        except (OSError, BackendBroken):
+            return False
+        return hmac.compare_digest(token, self._token)
+
+    @staticmethod
+    def _check_hello(hello: Any, by_name: Dict[str, _Node],
+                     remaining: Dict[Tuple[str, str], int]
+                     ) -> Tuple[_Node, str, int]:
+        """(node, role, pid) of a well-formed hello for a slot that is
+        still open; anything else raises :class:`BackendUnavailable`."""
+        if not isinstance(hello, dict):
+            raise BackendUnavailable(
+                f"malformed fleet hello: a {type(hello).__name__}, "
+                f"not a dict")
+        proto = hello.get("proto")
+        if proto != PROTOCOL_VERSION:
+            raise BackendUnavailable(
+                f"fleet hello speaks protocol {proto!r}, "
+                f"expected {PROTOCOL_VERSION}")
+        name, role, pid = hello.get("node"), hello.get("role"), \
+            hello.get("pid")
+        node = by_name.get(name)
+        if node is None or not isinstance(pid, int) \
+                or remaining.get((name, role), 0) <= 0:
+            raise BackendUnavailable(
+                f"unexpected fleet hello: node {name!r}, role {role!r}, "
+                f"pid {pid!r}")
+        return node, role, pid
 
     def shutdown(self, cancel: bool = False) -> None:
         with self._lock:
@@ -397,11 +458,7 @@ class RemoteBackend(Backend):
                 action(item)
 
     # -- submission -----------------------------------------------------
-    def submit(self, wire: bytes, envelope: bool,
-               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
-        return self.submit_chunk(wire, envelope, telemetry_ctx)
-
-    def submit_chunk(self, wire: bytes, envelope: bool,
+    def submit_chunk(self, wire: bytes,
                      telemetry_ctx: Optional[Tuple[str, int]],
                      input_refs: Sequence[str] = ()) -> Future:
         with self._lock:
@@ -410,7 +467,7 @@ class RemoteBackend(Backend):
             if not any(not c.dead for c in self._conns):
                 raise BackendBroken("no live fleet workers")
             self._chunk_seq += 1
-            chunk = _Chunk(self._chunk_seq, wire, envelope, telemetry_ctx,
+            chunk = _Chunk(self._chunk_seq, wire, telemetry_ctx,
                            input_refs)
         self._queue.put(chunk)
         return chunk.future
@@ -435,7 +492,7 @@ class RemoteBackend(Backend):
             conn.busy_chunk = item.chunk_id
             try:
                 send_frame(conn.sock, ("chunk", item.chunk_id, item.wire,
-                                       item.envelope, item.telemetry_ctx))
+                                       item.telemetry_ctx))
                 reply = self._await_done(conn, item.chunk_id)
             except (OSError, BackendBroken, socket.timeout) as exc:
                 conn.busy_chunk = None
@@ -617,29 +674,3 @@ class RemoteBackend(Backend):
                 "bytes_pushed": sum(n.bytes_pushed for n in self._nodes),
             },
         }
-
-
-class LoopbackSocketBackend(RemoteBackend):
-    """The ``--transport socket`` backend: one local pseudo-host whose
-    workers share the parent's artifact store.
-
-    Since PR 10 this is a :class:`RemoteBackend` configuration, so the
-    loopback transport exercises — and is protected by — the same
-    pull-based dispatch, heartbeat and re-dispatch machinery as a real
-    fleet.  Worker count is *not* capped at core count: a 4-worker
-    matrix row must mean 4 real worker processes even on a small CI
-    box.
-    """
-
-    name = "socket"
-
-    def __init__(self, workers: int):
-        super().__init__([HostSpec(name="local#0",
-                                   workers=max(1, int(workers)))],
-                         shared_store=True)
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """PIDs of the connected workers (kept for parity with the
-        pre-PR-10 loopback backend's attribute)."""
-        return [c.pid for c in self._conns]

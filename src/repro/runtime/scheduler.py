@@ -18,23 +18,24 @@ interleaved with trial code in ``validation/parallel.py``:
 * **ordering guarantees** — futures align index-for-index with the
   submitted batch, and results are read in submission order, never in
   completion order;
-* **retry on backend break** — a dead pool or socket drops the
+* **retry on backend break** — a dead worker fleet drops the
   scheduler to in-process execution of the affected jobs (and every
   later submission) with the reason recorded, never a wrong result;
 * **result rehydration** — envelopes coming back from workers are
-  decoded from the shared store with digest verification, and any
-  integrity problem falls back to recomputation;
+  decoded from the memo store (or fetched from the node that sealed
+  them) with digest verification, and any integrity problem falls
+  back to recomputation;
 * **interrupt teardown** — a ``KeyboardInterrupt`` while gathering
   results cancels outstanding chunks and shuts the backend down
   cleanly before propagating (the CLI turns it into exit 130).
 
 The determinism contract is inherited from the jobs themselves: for
-any worker count, any transport, any backend, and every fallback path,
-results are byte-identical to serial execution because every job is
-executed by the same pure runner with the same payload, the codec
-round-trip is exact, and results are reassembled in submission order.
-The only freedom a backend has is *wall-clock* completion order, which
-is never observed.
+any worker count, any hosts, and every fallback path, results are
+byte-identical to serial execution because every job is executed by
+the same pure runner with the same payload, the codec round-trip is
+exact, and results are reassembled in submission order.  The only
+freedom the workers have is *wall-clock* completion order, which is
+never observed.
 
 :class:`Scheduler` exposes the generic surface (``submit_jobs`` /
 ``map_jobs``); workload-specific executors — e.g.
@@ -53,7 +54,6 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -61,19 +61,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import SweepProgress, SweepTelemetry, unpack_spans
 from ..pipeline import ArtifactStore, Pipeline, codec
-from .backends import (
-    Backend,
-    BackendBroken,
-    BackendUnavailable,
-    PoolBackend,
-)
+from .backends import BackendBroken, BackendUnavailable
 from .hosts import HostSpec, load_hosts_file, parse_hosts
 from .job import Job, JobResult, ResultEnvelope, resolve_runner
-from .remote import LoopbackSocketBackend, RemoteBackend
+from .remote import RemoteBackend
 
 __all__ = [
     "CHUNK_THRESHOLD",
-    "TRANSPORTS",
     "JobFuture",
     "Scheduler",
     "default_workers",
@@ -85,16 +79,20 @@ __all__ = [
 # Affects scheduling only, never results.
 CHUNK_THRESHOLD = 100.0
 
-# The recognised values of ``transport``: "auto"/"envelope"/"pickle"
-# select the data plane on the warm process pool ("auto" resolves to
-# envelope); "socket" selects the loopback-socket backend; "remote"
-# selects the multi-node fleet backend (both envelope data plane).
-TRANSPORTS = ("auto", "envelope", "pickle", "socket", "remote")
-
 
 def default_workers() -> int:
     """Worker count used when the caller does not pin one."""
     return os.cpu_count() or 1
+
+
+def _local_width(workers: int) -> int:
+    """How many local workers ``workers`` starts: at most core count
+    + 1.  Oversubscription cannot finish CPU-bound jobs sooner — it
+    only time-slices them, which *stretches the longest job* (the
+    sweep's critical path) while cheap work drains around it.  One
+    worker beyond the core count soaks up the slack whenever a sibling
+    blocks on store I/O (the ``make -j N+1`` rule)."""
+    return max(1, min(workers, (os.cpu_count() or workers) + 1))
 
 
 def resolve_hosts(hosts: Union[str, Sequence[HostSpec], None]
@@ -196,7 +194,7 @@ class JobFuture:
     """Result handle for one submitted job.
 
     In serial mode the job runs lazily on the first ``result()`` call;
-    on a backend it indexes into its chunk's payload and, if the
+    on the workers it indexes into its chunk's payload and, if the
     backend broke, the chunk would not pickle, or an envelope cannot
     be rehydrated, recomputes the job in-process (recording why on the
     scheduler).  Either way ``result()`` returns exactly what
@@ -264,8 +262,7 @@ class JobFuture:
             payload = None
             try:
                 payload = self._future.payload(self._scheduler)
-            except (BrokenProcessPool, BackendBroken, pickle.PickleError,
-                    OSError) as exc:
+            except (BackendBroken, pickle.PickleError, OSError) as exc:
                 if self._scheduler is not None:
                     self._scheduler._mark_broken(exc)
             if payload is not None:
@@ -314,10 +311,10 @@ class JobFuture:
         return self._result
 
     def _rehydrate(self, env: ResultEnvelope):
-        """Decode an envelope's artifact from the shared store; on any
+        """Decode an envelope's artifact from the memo store; on any
         integrity problem return ``_UNSET`` so the caller recomputes.
 
-        On a multi-node backend the parent store starts *empty* — the
+        On a ``--hosts`` fleet the parent store starts *empty* — the
         artifact was sealed into the executing node's private store —
         so a miss first goes through the backend's fingerprint-keyed
         ``fetch_artifact`` (FETCH frames, parent-store dedup) before
@@ -328,13 +325,11 @@ class JobFuture:
             return self._UNSET
         t0 = time.perf_counter_ns()
         found, blob = store.raw_get(env.key)
-        if not found:
-            backend = sched._backend
-            fetch = getattr(backend, "fetch_artifact", None)
-            if fetch is not None:
-                fetched = fetch(env.key, env.digest)
-                if fetched is not None:
-                    found, blob = True, fetched
+        backend = sched._backend
+        if not found and backend is not None:
+            fetched = backend.fetch_artifact(env.key, env.digest)
+            if fetched is not None:
+                found, blob = True, fetched
         if not found or codec.content_digest(blob) != env.digest:
             sched._note_fallback(f"envelope {env.key[:12]}...: artifact "
                                  f"missing or digest mismatch")
@@ -357,27 +352,22 @@ class JobFuture:
 
 
 class Scheduler:
-    """Order-preserving job execution with a pluggable backend under it.
+    """Order-preserving job execution over worker processes.
 
-    ``workers=None`` sizes the backend to the machine; ``workers=1``
-    (or a backend that cannot start — restricted sandboxes, missing
-    semaphores, no sockets) degrades to in-process serial execution of
-    the very same runner calls.  ``submit_jobs`` returns futures
-    aligned index-for-index with the batch; ``map_jobs`` reads them in
+    Two arguments choose everything.  ``workers=1`` runs every job
+    inline, in this process.  ``workers=N`` (``None`` sizes it to the
+    machine) starts ``min(N, cores + 1)`` local worker processes — one
+    :class:`~repro.runtime.remote.RemoteBackend` pseudo-host that shares
+    the memo store below.  ``hosts`` (an ``"a:4,b:8"`` expression, a
+    TOML hosts-file path, or a prepared
+    :class:`~repro.runtime.hosts.HostSpec` list) runs the fleet it
+    describes instead, uncapped, with private node stores and the
+    FETCH/HAVE sync plane.  A backend that cannot start (restricted
+    sandboxes, no sockets) degrades to inline execution of the very
+    same runner calls.  ``submit_jobs`` returns futures aligned
+    index-for-index with the batch; ``map_jobs`` reads them in
     submission order regardless of completion order — which is what
     makes parallel runs bit-identical to serial ones.
-
-    ``transport`` selects the backend and its data plane:
-    ``"envelope"`` (warm pool, store-mediated handoff), ``"pickle"``
-    (warm pool, results through the pipe), ``"socket"`` (loopback
-    worker subprocesses, envelope data plane), ``"remote"`` (the
-    multi-node fleet of :mod:`repro.runtime.remote`, envelope data
-    plane plus FETCH/HAVE artifact sync), or ``"auto"`` (envelope
-    whenever a backend is used — unless ``hosts`` is given, which
-    resolves "auto" to "remote").  ``hosts`` takes an ``"a:4,b:8"``
-    expression, a TOML hosts-file path, or a prepared
-    :class:`~repro.runtime.hosts.HostSpec` list; ``"remote"`` without
-    hosts means ``local:<workers>`` — one pseudo-host.
 
     Usable as a context manager; the backend is created lazily on the
     first parallel submission and reused across phases and batches so
@@ -387,11 +377,11 @@ class Scheduler:
     results are stored as they land — in ``pipeline`` (the caller's
     cache) when one is attached, else in a scratch store made on first
     use and removed by :meth:`shutdown` — so a job repeated on one
-    scheduler runs once.  The scratch store is the envelope plane's
-    directory, so on a pool the worker's envelope write is the stored
-    result.  Caching cannot change results: artifacts are keyed by the
-    same inputs that determine the job's output, and cached values
-    round-trip through the binary codec so callers get fresh copies.
+    scheduler runs once.  Local workers open this same store, so their
+    envelope write is the stored result.  Caching cannot change
+    results: artifacts are keyed by the same inputs that determine the
+    job's output, and cached values round-trip through the binary codec
+    so callers get fresh copies.
 
     Every degradation (broken backend, unpicklable job, unreadable
     envelope) is counted in :attr:`metrics` and the first reason kept
@@ -401,23 +391,15 @@ class Scheduler:
 
     def __init__(self, workers: Optional[int] = None,
                  pipeline: Optional[Pipeline] = None,
-                 transport: str = "auto",
                  hosts: Union[str, Sequence[HostSpec], None] = None):
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}")
-        self.workers = (default_workers() if workers is None
-                        else max(1, int(workers)))
         self.hosts = resolve_hosts(hosts)
-        if self.hosts is not None and transport == "auto":
-            transport = "remote"
-        if transport == "remote":
-            if self.hosts is None:
-                self.hosts = parse_hosts(f"local:{self.workers}")
-            # The fleet defines the width; ``workers`` is per-host
-            # only insofar as the hosts expression says so.
+        if self.hosts is not None:
+            # The fleet defines the width, uncapped.
             self.workers = sum(h.workers for h in self.hosts)
+        else:
+            self.workers = _local_width(default_workers() if workers is None
+                                        else max(1, int(workers)))
         self.pipeline = pipeline
-        self.transport = transport
         self.metrics = MetricsRegistry()
         self.fallback_reason: Optional[str] = None
         # Every distinct fallback reason, in first-seen order (capped);
@@ -430,11 +412,10 @@ class Scheduler:
         self.telemetry: Optional[SweepTelemetry] = None
         self.progress: Optional[SweepProgress] = None
         self.metrics.add_collector(self._memo_metrics, key="pipeline")
-        self._backend: Optional[Backend] = None
-        # workers=1 runs serially — except on the socket-reached
-        # backends, where even one worker exercises the wire protocol.
-        self._serial_fallback = (self.workers <= 1
-                                 and transport not in ("socket", "remote"))
+        self._backend: Optional[RemoteBackend] = None
+        # workers=1 runs serially — except on a fleet, where even one
+        # worker exercises the wire protocol.
+        self._serial_fallback = self.workers <= 1 and self.hosts is None
         self._transport_used = "serial"
         # The pipeline over the scratch directory (see _memo), and the
         # store the running backend's workers write envelopes into.
@@ -502,10 +483,8 @@ class Scheduler:
             self._backend.shutdown()
             self._backend = None
 
-    def _capture_backend_stats(self, backend: Backend) -> None:
-        stats = getattr(backend, "stats", None)
-        if stats is not None:
-            self._backend_stats = stats()
+    def _capture_backend_stats(self, backend: RemoteBackend) -> None:
+        self._backend_stats = backend.stats()
 
     def _flush_pending_inline(self) -> None:
         """Release every not-yet-dispatched slot to the in-process
@@ -542,26 +521,25 @@ class Scheduler:
 
     @property
     def effective_workers(self) -> int:
-        """1 when running serially, else the configured worker count."""
+        """1 when running serially, else the width of the workers
+        started (or to be started)."""
         return 1 if self._serial_fallback else self.workers
 
     @property
     def transport_used(self) -> str:
-        """``"serial"`` until a backend carries work, then the resolved
-        transport (``"envelope"``, ``"pickle"`` or ``"socket"``)."""
+        """``"serial"`` until workers carry work, then the backend's
+        name."""
         return self._transport_used
 
     def transport_stats(self) -> Dict[str, Any]:
-        """Snapshot of the scheduler's data-plane counters.  A backend
-        with its own accounting (the multi-node fleet: per-node
-        contribution, redispatches, artifact-sync volume) appears under
-        ``"backend"``; the snapshot survives backend shutdown."""
+        """Snapshot of the scheduler's data-plane counters.  The
+        backend's own accounting (per-node contribution, redispatches,
+        artifact-sync volume) appears under ``"backend"``; the snapshot
+        survives backend shutdown."""
         metrics = self.metrics
         backend_stats = self._backend_stats
         if self._backend is not None:
-            stats = getattr(self._backend, "stats", None)
-            if stats is not None:
-                backend_stats = stats()
+            backend_stats = self._backend.stats()
         stats_dict = {
             "transport": self._transport_used,
             "workers": self.effective_workers,
@@ -661,24 +639,14 @@ class Scheduler:
         shrink as the sweep drains and the tail stays parallel."""
         if n_cheap <= 0:
             return 1
-        return max(1, min(8, math.ceil(n_cheap / (self._pool_size() * 2))))
-
-    def _pool_size(self) -> int:
-        """Actual backend width (see the backends' ``pool_size``)."""
-        if self._backend is not None:
-            return self._backend.pool_size()
-        if self.transport in ("socket", "remote"):
-            return self.workers
-        cores = os.cpu_count() or self.workers
-        return max(1, min(self.workers, cores + 1))
+        return max(1, min(8, math.ceil(n_cheap / (self.workers * 2))))
 
     def _inflight_limit(self) -> int:
-        """How many chunks may be dispatched at once: the backend's
+        """How many chunks may be dispatched at once: the workers'
         width plus a small buffer, so a worker finishing always finds
         the next chunk staged but chunk composition is decided as late
         as possible."""
-        pool = self._pool_size()
-        return pool + max(2, pool // 2)
+        return self.workers + max(2, self.workers // 2)
 
     def _pump(self) -> None:
         """Dispatch pending chunks up to the in-flight window.
@@ -716,11 +684,10 @@ class Scheduler:
         if not self._pending:
             return None
         t0 = time.perf_counter_ns()
-        envelope = self._resolve_transport() == "envelope"
         broken: Optional[BaseException] = None
         while self._pending and self._inflight < self._inflight_limit():
             chunk = self._next_chunk()
-            broken = self._dispatch_chunk(chunk, envelope)
+            broken = self._dispatch_chunk(chunk)
             if broken is not None:
                 self._release_heap_inline()
                 break
@@ -746,8 +713,8 @@ class Scheduler:
             chunk.append((j, s))
         return chunk
 
-    def _dispatch_chunk(self, chunk: List[Tuple[Job, _Slot]],
-                        envelope: bool) -> Optional[BaseException]:
+    def _dispatch_chunk(self, chunk: List[Tuple[Job, _Slot]]
+                        ) -> Optional[BaseException]:
         """Frame one chunk and submit it.  An unpicklable chunk falls
         its slots to the inline path (not fatal); a backend submission
         failure releases the slots and reports the exception so the
@@ -756,14 +723,13 @@ class Scheduler:
         items: List[Tuple[str, str, str, Any, str]] = []
         refs: List[str] = []
         for job, _slot in chunk:
-            payload = job.for_wire(envelope)
-            key = ""
-            if envelope:
-                key = job.fingerprint
-                if key is None:
-                    key = f"ipc:{self._seq:08d}"
-                    self._seq += 1
-                refs.extend(r for r in job.input_refs if r)
+            payload = job.for_wire()
+            # The store key a worker seals a bulk result under.
+            key = job.fingerprint
+            if key is None:
+                key = f"ipc:{self._seq:08d}"
+                self._seq += 1
+            refs.extend(r for r in job.input_refs if r)
             if telemetry is not None:
                 payload = _stamp_sweep(payload, telemetry.sweep_id)
             items.append((job.runner, job.kind, job.span_label(),
@@ -781,22 +747,14 @@ class Scheduler:
             telemetry_ctx = (telemetry.sweep_id, time.time_ns())
         backend = self._backend
         try:
-            submit_chunk = getattr(backend, "submit_chunk", None)
-            if submit_chunk is not None:
-                future = submit_chunk(blob, envelope, telemetry_ctx,
-                                      tuple(dict.fromkeys(refs)))
-            else:
-                future = backend.submit(blob, envelope, telemetry_ctx)
-        except (BackendBroken, BrokenProcessPool, OSError,
-                RuntimeError) as exc:
+            future = backend.submit_chunk(blob, telemetry_ctx,
+                                          tuple(dict.fromkeys(refs)))
+        except (BackendBroken, OSError) as exc:
             for _job, slot in chunk:
                 slot.release_inline()
             return exc
         self.metrics.counter("executor.ipc_bytes_sent").inc(len(blob))
-        if backend.name in ("socket", "remote"):
-            self._transport_used = backend.name
-        else:
-            self._transport_used = "envelope" if envelope else "pickle"
+        self._transport_used = backend.name
         handle = _ChunkHandle(future)
         for ci, (_job, slot) in enumerate(chunk):
             slot.bind(handle, ci)
@@ -815,30 +773,20 @@ class Scheduler:
             self.progress.completed(count)
         self._pump()
 
-    def _resolve_transport(self) -> str:
-        """The data plane: pickle only when asked for; envelope
-        everywhere else (including the socket backend)."""
-        return "pickle" if self.transport == "pickle" else "envelope"
+    def _make_backend(self) -> RemoteBackend:
+        return RemoteBackend(self.hosts, workers=self.workers)
 
-    def _make_backend(self) -> Backend:
-        if self.transport == "socket":
-            return LoopbackSocketBackend(self.workers)
-        if self.transport == "remote":
-            return RemoteBackend(self.hosts)
-        return PoolBackend(self.workers)
-
-    def _ensure_backend(self) -> Optional[Backend]:
+    def _ensure_backend(self) -> Optional[RemoteBackend]:
         if self._serial_fallback:
             return None
         if self._backend is None:
-            store_root = None
-            if self._resolve_transport() == "envelope":
-                # Workers write envelopes into the memo's store under
-                # the job's fingerprint.  A memory-only cache has no
-                # directory to share; results then ride the pipe.
-                self._ipc_store = self._memo().store
-                if self._ipc_store.root is not None:
-                    store_root = str(self._ipc_store.root)
+            # Workers seal bulk results into the memo's store under the
+            # job's fingerprint (on a fleet, into node stores the parent
+            # fetches from).  A memory-only cache has no directory to
+            # share; results then ride the reply frames.
+            self._ipc_store = self._memo().store
+            store_root = (str(self._ipc_store.root)
+                          if self._ipc_store.root is not None else None)
             backend = self._make_backend()
             try:
                 backend.start(store_root)

@@ -1,17 +1,19 @@
 """Fleet worker: ``python -m repro.runtime.worker``.
 
 Spawned by :class:`~repro.runtime.remote.RemoteBackend` (one process
-per worker slot, locally or over SSH), this entry point dials the
-parent's listener back and speaks protocol v2.  The hello frame is
-``{"pid", "proto": 2, "node", "role"}``; what follows depends on the
+per worker slot, locally or over SSH), this entry point reads the
+backend's authentication token from stdin, dials the parent's listener
+back, sends the token, and then speaks protocol v3 (see
+:data:`~repro.runtime.backends.PROTOCOL_VERSION`).  The hello frame is
+``{"pid", "proto", "node", "role"}``; what follows depends on the
 role:
 
 ``worker`` (default)
-    The execution loop.  The bootstrap mirrors a pool worker exactly —
+    The execution loop.
     :func:`~repro.runtime.backends._worker_init` opens the node's
-    artifact store, warms the scenario registry, freezes the GC,
-    ignores SIGINT — then each ``("chunk", id, wire, envelope,
-    telemetry_ctx)`` frame runs through
+    artifact store, warms the scenario registry, freezes the GC and
+    ignores SIGINT; then each ``("chunk", id, wire, telemetry_ctx)``
+    frame runs through
     :func:`~repro.runtime.backends.execute_wire_chunk_keys` and is
     answered with ``("done", id, ok, payload, sealed_keys, njobs)``.
     While a chunk executes, a heartbeat thread sends ``("hb", id)``
@@ -46,6 +48,8 @@ import threading
 import traceback
 
 from .backends import (
+    AUTH_TOKEN_BYTES,
+    PROTOCOL_VERSION,
     BackendBroken,
     _worker_init,
     execute_wire_chunk_keys,
@@ -59,7 +63,6 @@ from .sync import (
     have_frame,
 )
 
-PROTOCOL_VERSION = 2
 EXIT_SIGTERM = 143  # 128 + SIGTERM: "node taken down", not "job crashed"
 
 # While executing a chunk, heartbeat this often.  Far below the
@@ -136,21 +139,23 @@ class _Heartbeat:
                 return  # connection gone; the main loop notices too
 
 
-def _connect(host: str, port: int, node: str, role: str) -> socket.socket:
+def _connect(host: str, port: int, node: str, role: str,
+             token: bytes) -> socket.socket:
     conn = socket.create_connection((host, port))
     try:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:  # pragma: no cover - platform quirk, latency only
         pass
+    conn.sendall(token)
     send_frame(conn, {"pid": os.getpid(), "proto": PROTOCOL_VERSION,
                       "node": node, "role": role})
     return conn
 
 
-def serve(host: str, port: int, store_root: str | None,
+def serve(host: str, port: int, store_root: str | None, token: bytes,
           node: str = "", role: str = "worker") -> int:
     if role == "sync":
-        return serve_sync(host, port, store_root, node)
+        return serve_sync(host, port, store_root, token, node)
     # Install the SIGTERM handler before anything observable happens
     # (the hello frame in particular): from the parent's point of view
     # a connected worker is *always* one that exits 143 on SIGTERM.
@@ -163,7 +168,7 @@ def serve(host: str, port: int, store_root: str | None,
     heartbeat = None
     try:
         _worker_init(store_root or None)
-        conn = _connect(host, port, node, "worker")
+        conn = _connect(host, port, node, "worker", token)
         send_lock = threading.Lock()
         heartbeat = _Heartbeat(conn, send_lock)
         while True:
@@ -174,13 +179,13 @@ def serve(host: str, port: int, store_root: str | None,
             if not (isinstance(frame, tuple) and frame
                     and frame[0] == "chunk"):
                 return 0
-            _tag, chunk_id, wire, envelope, telemetry_ctx = frame
+            _tag, chunk_id, wire, telemetry_ctx = frame
             term.busy = True
             heartbeat.begin(chunk_id)
             try:
                 try:
                     payload, keys, njobs = execute_wire_chunk_keys(
-                        wire, envelope, telemetry_ctx)
+                        wire, telemetry_ctx)
                     reply = ("done", chunk_id, True, payload, keys, njobs)
                 except _Terminated:  # pragma: no cover - tiny race
                     return EXIT_SIGTERM
@@ -208,7 +213,7 @@ def serve(host: str, port: int, store_root: str | None,
 
 
 def serve_sync(host: str, port: int, store_root: str | None,
-               node: str = "") -> int:
+               token: bytes, node: str = "") -> int:
     """The node's artifact-plane endpoint: HAVE/PUT/FETCH against the
     node store.  Every reply op is fixed by the request op, and any
     malformed frame ends the process — the parent treats a broken sync
@@ -223,7 +228,7 @@ def serve_sync(host: str, port: int, store_root: str | None,
     conn = None
     try:
         store = ArtifactStore(store_root or None)
-        conn = _connect(host, port, node, "sync")
+        conn = _connect(host, port, node, "sync", token)
         while True:
             try:
                 frame = recv_frame(conn)
@@ -273,7 +278,14 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--role", choices=("worker", "sync"),
                         default="worker")
     args = parser.parse_args(argv)
-    return serve(args.host, args.port, args.store_root,
+    # The token arrives on stdin, never in argv: other local users can
+    # read a process's command line.
+    token = sys.stdin.buffer.read(AUTH_TOKEN_BYTES)
+    if len(token) != AUTH_TOKEN_BYTES:
+        print("repro.runtime.worker: no authentication token on stdin",
+              file=sys.stderr)
+        return 2
+    return serve(args.host, args.port, args.store_root, token,
                  node=args.node, role=args.role)
 
 

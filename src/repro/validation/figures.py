@@ -28,9 +28,7 @@ from ..sim.rng import derive_seed
 from .harness import (
     BenchmarkRunner,
     ScenarioValidation,
-    collect_trace,
     compensation_vb,
-    distill_scenario_trace,
 )
 
 MB = 1024 * 1024
@@ -240,23 +238,17 @@ def characterize_scenario(scenario: Scenario, seed: int = 0,
                           workers: int = 1) -> ScenarioCharacterization:
     """Collect and distill ``trials`` traversals (Figures 2-5 data).
 
-    ``workers`` fans the traversals out over a process pool
-    (:mod:`repro.validation.parallel`); results are bit-identical for
-    any worker count because each traversal draws from named seeded
-    RNG streams keyed only by ``(scenario, seed, trial)``.
+    A thin front to
+    :func:`repro.validation.parallel.characterize_scenario_parallel`,
+    as :func:`~repro.validation.harness.validate_scenario` is for
+    ``run_validation``; results are bit-identical for any ``workers``
+    because each traversal draws from named seeded RNG streams keyed
+    only by ``(scenario, seed, trial)``.
     """
-    if workers != 1:
-        from .parallel import characterize_scenario_parallel
+    from .parallel import characterize_scenario_parallel
 
-        return characterize_scenario_parallel(scenario, seed=seed,
-                                              trials=trials, workers=workers)
-    distillations = []
-    for t in range(trials):
-        records = collect_trace(scenario, seed, t)
-        distillations.append(
-            distill_scenario_trace(records, name=f"{scenario.name}-{t}"))
-    return ScenarioCharacterization(scenario=scenario,
-                                    distillations=distillations)
+    return characterize_scenario_parallel(scenario, seed=seed,
+                                          trials=trials, workers=workers)
 
 
 # ======================================================================

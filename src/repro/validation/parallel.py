@@ -10,8 +10,8 @@ embarrassingly parallel *and* guarantees that a parallel run is
 bit-identical to a serial one.
 
 This module is the *trial-specific glue* over :mod:`repro.runtime` —
-all scheduling, worker-pool lifecycle, transport, chunking, retry and
-rehydration machinery lives there.  What stays here:
+all scheduling, worker lifecycle, chunking, retry and rehydration
+machinery lives there.  What stays here:
 
 * :class:`TrialSpec` — a picklable description of one trial (one
   registered job kind of the runtime);
@@ -24,24 +24,23 @@ rehydration machinery lives there.  What stays here:
   Figures 6–8 protocol), collection and benchmark phases each fanned
   out across *all* scenarios at once;
 * :func:`validate_scenario_parallel`, :func:`ethernet_baseline_parallel`,
-  :func:`characterize_scenario_parallel` — parallel twins of the serial
-  entry points in :mod:`repro.validation.harness` and
-  :mod:`repro.validation.figures`.
+  :func:`characterize_scenario_parallel` — the entry points behind
+  :mod:`repro.validation.harness` and :mod:`repro.validation.figures`,
+  whose serial functions are these with ``workers=1``.
 
-The worker→parent data plane (``"envelope"`` store-mediated handoff
-vs ``"pickle"`` through the pipe) and the backend choice (warm process
-pool vs loopback-socket workers) are the scheduler's business; see
-:mod:`repro.runtime.backends`.  Modulated trials receive their replay
-by store reference (``replay_ref``) when the envelope plane is active
-— the spec's ``slim_payload`` wire variant strips the materialized
-replay, and each worker memoizes decoded replays, so a distilled
-trace is shipped to each worker process at most once per sweep.
+Workers seal bulk results into the scheduler's store and hand back
+envelopes; see :mod:`repro.runtime`.  Modulated trials receive their
+replay by store reference (``replay_ref``) whenever the distillation
+came back through the store — the spec's wire payload strips the
+materialized replay, and each worker memoizes decoded replays, so a
+distilled trace is shipped to each worker process at most once per
+sweep.
 
-Determinism contract: for any ``workers`` value, any transport and
-any backend (including every fallback path), results are
-byte-identical to ``workers=1`` because every spec is executed by the
-same pure function with the same arguments, the codec round-trip is
-exact, and results are reassembled in submission order.
+Determinism contract: for any ``workers`` value, any ``hosts`` and
+every fallback path, results are byte-identical to ``workers=1``
+because every spec is executed by the same pure function with the
+same arguments, the codec round-trip is exact, and results are
+reassembled in submission order.
 """
 
 from __future__ import annotations
@@ -136,12 +135,12 @@ class TrialSpec:
     ``{"__distill__": ..., "__obs__": ...}`` wrapper instead.
 
     ``replay_ref`` names the distill artifact holding this modulated
-    trial's replay in the scheduler's shared store.  On the envelope
-    data plane the materialized ``replay`` is stripped from the wire
-    copy and workers resolve the reference (memoized per process);
-    every other path uses ``replay`` directly.  The two are always
-    byte-equivalent — the codec round-trip is exact — so the transport
-    cannot change results.
+    trial's replay in the scheduler's store.  The materialized
+    ``replay`` is stripped from the copy shipped to workers, which
+    resolve the reference (memoized per process); in-process execution
+    uses ``replay`` directly.  The two are always byte-equivalent — the
+    codec round-trip is exact — so where a trial runs cannot change its
+    result.
     """
 
     kind: str
@@ -200,7 +199,7 @@ class TrialSpec:
 
 
 class _ReplayResolveError(JobTransportError):
-    """A ``replay_ref`` that the worker's shared store cannot supply.
+    """A ``replay_ref`` that the worker's store cannot supply.
     A :class:`JobTransportError`, so the chunk executor converts it to
     a transport failure and the parent re-executes with the
     materialized replay — a transport hiccup must never surface as a
@@ -221,12 +220,12 @@ def _resolve_replay(ref: Optional[str]) -> ReplayTrace:
         return replay
     store = worker_store()
     if store is None:
-        raise _ReplayResolveError("worker has no shared store")
+        raise _ReplayResolveError("worker has no store")
     tok = span_begin()
     found, blob = store.raw_get(ref)
     if not found:
         raise _ReplayResolveError(
-            f"distill artifact {ref[:12]}... missing from shared store")
+            f"distill artifact {ref[:12]}... missing from the store")
     try:
         value = codec.decode_gz(blob)
     except codec.CodecError as exc:
@@ -280,22 +279,21 @@ register_job_kind("trial", _EXECUTE_TRIAL)
 def job_for_spec(spec: TrialSpec) -> Job:
     """The runtime job for one trial spec.
 
-    ``slim_payload`` (the envelope-plane wire variant) strips a
-    materialized replay whenever the spec also carries its store
-    reference, so a distilled trace crosses the process boundary at
-    most once per worker.
+    The wire payload strips a materialized replay whenever the spec
+    also carries its store reference, so a distilled trace crosses the
+    process boundary at most once per worker.
     """
-    slim = None
+    wire = None
     refs: tuple = ()
     if spec.replay is not None and spec.replay_ref is not None:
-        slim = replace(spec, replay=None)
-        # Multi-node backends push this store artifact to the
-        # executing node (HAVE-deduplicated) before dispatch, so the
-        # slim spec resolves there exactly as it does on one machine.
+        wire = replace(spec, replay=None)
+        # A --hosts fleet pushes this store artifact to the executing
+        # node (HAVE-deduplicated) before dispatch, so the stripped
+        # spec resolves there exactly as it does on one machine.
         refs = (spec.replay_ref,)
     return Job(kind=spec.kind, runner=_EXECUTE_TRIAL, payload=spec,
                label=spec.span_label(), fingerprint=spec.fingerprint,
-               cost_hint=spec.cost_hint(), slim_payload=slim,
+               cost_hint=spec.cost_hint(), wire_payload=wire,
                input_refs=refs)
 
 
@@ -362,7 +360,7 @@ class TrialExecutor(Scheduler):
     ``submit_jobs`` / ``map_jobs`` remain available for generic jobs,
     so one warm backend can serve a validation sweep and, say, a
     golden regeneration in the same invocation.  Everything else —
-    worker counts, transports, caching, fallback accounting — is the
+    worker counts, hosts, caching, fallback accounting — is the
     scheduler's contract; see its docstring.
     """
 
@@ -384,25 +382,24 @@ class TrialExecutor(Scheduler):
 def _executor_for(workers: Optional[int],
                   executor: Optional[TrialExecutor],
                   pipeline: Optional[Pipeline] = None,
-                  transport: str = "auto",
                   hosts=None) -> tuple:
     """(executor, owns_it): reuse the caller's executor when given.
 
     A given ``pipeline`` is attached to the executor either way: on a
     caller-supplied executor it replaces the scratch store unless the
     executor already has a caller cache, and the executor always keeps
-    its own transport and hosts.
+    its own workers and hosts.
     """
     if executor is not None:
         if executor.pipeline is None:
             executor.pipeline = pipeline
         return executor, False
     return TrialExecutor(workers=workers, pipeline=pipeline,
-                         transport=transport, hosts=hosts), True
+                         hosts=hosts), True
 
 
 # ======================================================================
-# Parallel twins of the harness entry points
+# The entry points behind the harness and figures functions
 # ======================================================================
 def _distill_specs(scenario: Scenario, seed: int, trials: int,
                    distiller: Optional[Distiller],
@@ -453,9 +450,8 @@ def validate_scenario_parallel(scenario: Scenario, runner: BenchmarkRunner,
                                workers: Optional[int] = None,
                                executor: Optional[TrialExecutor] = None,
                                cache=None) -> ScenarioValidation:
-    """Parallel version of :func:`repro.validation.harness.validate_scenario`.
-
-    Bit-identical to the serial implementation for the same arguments.
+    """:func:`repro.validation.harness.validate_scenario` on
+    ``workers`` workers; bit-identical to it for the same arguments.
     """
     sweep = run_validation([scenario], runner, seed=seed, trials=trials,
                            distiller=distiller, compensation=compensation,
@@ -499,9 +495,10 @@ def characterize_scenario_parallel(scenario: Scenario, seed: int = 0,
                                    executor: Optional[TrialExecutor] = None,
                                    obs: Optional[ObsConfig] = None,
                                    trial_metrics: Optional[List[Dict]] = None):
-    """Parallel version of :func:`repro.validation.figures.characterize_scenario`.
+    """Collect and distill ``trials`` traversals of ``scenario``.
 
-    With ``obs`` set, each traversal's metrics record is appended to
+    :func:`repro.validation.figures.characterize_scenario` is this with
+    ``workers=1``.  With ``obs`` set, each traversal's metrics record is appended to
     the caller-supplied ``trial_metrics`` list in trial order.  The
     traversals carry the same fingerprints as :func:`run_validation`'s
     collections, so a sweep on the same executor (or over the same
@@ -547,9 +544,10 @@ class ValidationSweep:
     # store are not counted here.
     cache_hits: int = 0
     cache_misses: int = 0
-    # Data-plane accounting (see Scheduler.transport_stats): which
-    # transport carried results, envelope/byte counters, and how often
-    # — and why — execution fell back in-process.
+    # Data-plane accounting (see Scheduler.transport_stats): what
+    # carried results ("serial" or the backend's name), envelope/byte
+    # counters, and how often — and why — execution fell back
+    # in-process.
     transport: Dict[str, Any] = field(default_factory=dict)
     fallback_reason: Optional[str] = None
     # Sweep-timeline rollup (SweepTelemetry.summary()) when the sweep
@@ -559,9 +557,9 @@ class ValidationSweep:
     def render(self, title: Optional[str] = None, caption: str = "") -> str:
         """The Figures 6–8 style table for this sweep.
 
-        Byte-identical for any worker count and any transport — the
+        Byte-identical for any worker count and any hosts — the
         determinism tests compare exactly this string across
-        ``workers`` values.
+        ``workers`` and ``hosts`` values.
         """
         from .figures import render_benchmark_table
 
@@ -621,7 +619,6 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
                    executor: Optional[TrialExecutor] = None,
                    obs: Optional[ObsConfig] = None,
                    cache=None,
-                   transport: str = "auto",
                    hosts=None,
                    telemetry: Optional[SweepTelemetry] = None,
                    progress: Optional[SweepProgress] = None
@@ -633,7 +630,7 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     baseline — is queued up front (longest first, cheap trials
     chunked), and each scenario's modulated trials are queued the
     moment its distillations resolve, carrying the distilled replay by
-    store reference when the envelope transport is active.  The
+    store reference when it came back through the store.  The
     backend therefore never idles at a phase barrier; cheap scenarios'
     modulated trials run while expensive collections are still in
     flight.
@@ -650,18 +647,17 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     ``cache`` (a directory path, :class:`~repro.pipeline.ArtifactStore`
     or :class:`~repro.pipeline.Pipeline`) takes the scratch store's
     place and outlives the executor, so a warm rerun of the same sweep
-    recomputes nothing; with a disk cache the envelope transport writes
-    worker artifacts straight into it.  ``transport`` selects the
-    backend and data plane (see
-    :class:`~repro.runtime.scheduler.Scheduler`).  Results are
-    identical with or without a cache, on every transport.
+    recomputes nothing; with a disk cache local workers write their
+    artifacts straight into it.  Results are identical with or without
+    a cache, for every ``workers`` and ``hosts``.
 
     ``seeds`` widens the sweep into a Monte Carlo workload: the full
     trial protocol repeats for ``seed, seed+1, ..., seed+seeds-1`` and
     every per-metric summary pools all ``seeds × trials`` runs.  The
     default ``seeds=1`` is byte-identical to the pre-``seeds``
     behavior; ``hosts`` (an ``"a:4,b:8"`` expression, hosts-file path
-    or spec list) routes the sweep onto the multi-node fleet backend.
+    or spec list) runs the sweep on that fleet instead of ``workers``
+    local workers (see :class:`~repro.runtime.scheduler.Scheduler`).
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
@@ -685,8 +681,7 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
         comp = compensation_vb()
     if telemetry is not None:
         telemetry.end(comp_tok, "compensation")
-    exe, owned = _executor_for(workers, executor, pipeline, transport,
-                               hosts)
+    exe, owned = _executor_for(workers, executor, pipeline, hosts)
     if telemetry is not None:
         exe.telemetry = telemetry
     if progress is not None:

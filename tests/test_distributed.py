@@ -1,27 +1,36 @@
 """The distributed-sweep acceptance gate.
 
-Four claims, tested end to end:
+Five claims, tested end to end:
 
 1. **Fleet equivalence** — `validate`, `check` and `fuzz` produce
    byte-identical stdout (and table SHA-256s) on a 2-pseudo-host
    remote fleet at 2 and 4 workers per host, exactly as on the serial
-   path.  ``--hosts`` is a pure performance knob.
+   path, with bulk results sealed in the node stores.  ``--hosts`` is
+   a pure performance knob, and the run ledger and ``repro metrics``
+   carry each node's contribution.
 2. **Chaos recovery** — SIGKILLing a busy fleet worker mid-sweep
    loses nothing: its chunk is re-dispatched onto survivors, the
    table stays byte-identical, and the recovery is visible in the
    backend's transport stats (never on stdout).
-3. **Sync plane** — FETCH/HAVE frames round-trip any payload, reject
+3. **Handshake** — nothing a peer sends is unpickled before it has
+   sent the backend's token; a peer that holds the token but sends a
+   malformed hello degrades the sweep with a reason.
+4. **Sync plane** — FETCH/HAVE frames round-trip any payload, reject
    truncation at every byte, and an artifact present on two nodes
    crosses the wire exactly once.
-4. **Worker shutdown** — EOF is a clean exit (0); SIGTERM exits 143
+5. **Worker shutdown** — EOF is a clean exit (0); SIGTERM exits 143
    so a torn-down node is distinguishable from a crashed job.
 """
 
 import hashlib
 import json
 import os
+import secrets
 import signal
 import socket
+import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -39,12 +48,15 @@ from repro.runtime import (
     resolve_hosts,
 )
 from repro.runtime.backends import (
+    AUTH_TOKEN_BYTES,
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     BackendBroken,
+    _recv_exact,
     recv_frame,
     send_frame,
 )
-from repro.runtime.hosts import LocalLauncher
+from repro.runtime.hosts import LocalLauncher, _pkg_root
 from repro.runtime.sync import (
     SYNC_MAGIC,
     SyncError,
@@ -120,6 +132,25 @@ class TestFleetEquivalence:
         out = _run(capsys, argv + ["--hosts", "local:2,local:2"])
         assert out == serial
 
+    def test_fleet_sweep_seals_results_in_node_stores(self):
+        from repro.scenarios import PorterScenario, WeanScenario
+        from repro.validation import FtpRunner, run_validation
+
+        runner = FtpRunner(nbytes=150_000, direction="send")
+        scenarios = [PorterScenario(), WeanScenario()]
+        reference = run_validation(scenarios, runner, seed=0, trials=2,
+                                   baseline=True, workers=1)
+        sweep = run_validation(scenarios, runner, seed=0, trials=2,
+                               baseline=True, hosts="local:2,local:2")
+        assert sweep.render() == reference.render()
+        assert sweep.fallback_reason is None
+        assert sweep.workers_used > 1
+        assert sweep.transport["transport"] == "remote"
+        assert sweep.transport["ipc_bytes_sent"] > 0
+        # Bulk results (distillations) came back as envelopes sealed in
+        # the executing node's store, not in the reply frames.
+        assert sweep.transport["envelope_count"] > 0
+
     def test_fleet_ledger_has_per_node_contribution(self, tmp_path,
                                                     capsys):
         _run(capsys, VALIDATE_ARGV
@@ -166,8 +197,7 @@ class TestChaosRecovery:
         reference = run_validation(scenario, runner, seed=0,
                                    trials=2).render()
 
-        exe = TrialExecutor(workers=None, transport="remote",
-                            hosts="local:2,local:2")
+        exe = TrialExecutor(hosts="local:2,local:2")
         killed = []
 
         def killer():
@@ -203,7 +233,107 @@ class TestChaosRecovery:
 
 
 # ======================================================================
-# 3. The sync plane: frames and cross-node dedup
+# 3. The handshake: token first, then the hello
+# ======================================================================
+_MARKER = "REPRO_TEST_UNPICKLED_ROGUE_HELLO"
+
+
+class _Exploit:
+    """Unpickling this runs code in the unpickling process: it sets
+    ``_MARKER`` in the environment."""
+
+    def __reduce__(self):
+        return (exec, (f"import os; os.environ[{_MARKER!r}] = '1'",))
+
+
+def _small_sweep(workers):
+    from repro.scenarios import WeanScenario
+    from repro.validation import FtpRunner, run_validation
+
+    return run_validation(WeanScenario(), FtpRunner(nbytes=50000), seed=0,
+                          trials=1, workers=workers)
+
+
+def _intercept_launch(monkeypatch, connect):
+    """Make ``connect(port, token)`` run once, just before the backend
+    launches its first local worker; returns the sockets it opened."""
+    original = LocalLauncher.launch
+    opened = []
+
+    def launch(self, argv, token):
+        if not opened:
+            port = int(argv[list(argv).index("--port") + 1])
+            opened.append(connect(port, token))
+        return original(self, argv, token)
+
+    monkeypatch.setattr(LocalLauncher, "launch", launch)
+    return opened
+
+
+class TestHandshake:
+    def test_rogue_hello_is_never_unpickled(self, monkeypatch):
+        monkeypatch.delenv(_MARKER, raising=False)
+        reference = _small_sweep(1).render()
+
+        def rogue(port, _token):
+            # A peer that never got the token: its hello is a pickle
+            # that would run code if the parent unpickled it.
+            sock = socket.create_connection(("127.0.0.1", port))
+            send_frame(sock, {"pid": 1, "proto": PROTOCOL_VERSION,
+                              "node": "local#0", "role": "worker",
+                              "exploit": _Exploit()})
+            return sock
+
+        opened = _intercept_launch(monkeypatch, rogue)
+        try:
+            sweep = _small_sweep(2)
+            # The parent dropped the rogue connection unread (a reset,
+            # since the rogue's hello sat unread in its buffer).
+            opened[0].settimeout(30.0)
+            try:
+                assert opened[0].recv(1) == b""
+            except ConnectionResetError:
+                pass
+        finally:
+            for sock in opened:
+                sock.close()
+        assert os.environ.get(_MARKER) is None
+        assert sweep.render() == reference
+        assert sweep.fallback_reason is None
+        assert sweep.workers_used == 2
+        assert sweep.transport["transport"] == "remote"
+
+    @pytest.mark.parametrize("body,reason", [
+        (struct.pack("<Q", 5) + b"\x00junk", "unreadable fleet hello"),
+        (None, "malformed fleet hello"),
+    ], ids=["garbage", "not-a-dict"])
+    def test_malformed_authenticated_hello_degrades(self, monkeypatch,
+                                                    body, reason):
+        reference = _small_sweep(1).render()
+
+        def impostor(port, token):
+            # Holds the token, then sends a hello that is not one.
+            sock = socket.create_connection(("127.0.0.1", port))
+            sock.sendall(token)
+            if body is None:
+                send_frame(sock, ["local#0", "worker"])
+            else:
+                sock.sendall(body)
+            return sock
+
+        opened = _intercept_launch(monkeypatch, impostor)
+        try:
+            sweep = _small_sweep(2)
+        finally:
+            for sock in opened:
+                sock.close()
+        assert sweep.render() == reference
+        assert sweep.workers_used == 1
+        assert sweep.fallback_reason.startswith(reason)
+
+
+# ======================================================================
+# 4. The sync plane: frames and cross-node dedup
 # ======================================================================
 _KEYS = st.lists(st.text(min_size=1, max_size=40), max_size=8)
 _BLOBS = st.dictionaries(st.text(min_size=1, max_size=40),
@@ -315,8 +445,7 @@ class TestArtifactDedup:
         from repro.runtime import Job, runner_ref
         from repro.runtime.job import echo
 
-        exe = Scheduler(workers=None, transport="remote",
-                        hosts="local:1,local:1")
+        exe = Scheduler(hosts="local:1,local:1")
         try:
             payloads = [os.urandom(8192) for _ in range(4)]
             jobs = [Job(kind="echo", runner=runner_ref(echo), payload=p,
@@ -333,7 +462,7 @@ class TestArtifactDedup:
 
 
 # ======================================================================
-# 4. Worker shutdown semantics
+# 5. Worker shutdown semantics
 # ======================================================================
 def _spawn_worker(role="worker", store_root=None):
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -344,11 +473,16 @@ def _spawn_worker(role="worker", store_root=None):
             "--role", role]
     if store_root:
         argv += ["--store-root", store_root]
-    proc = LocalLauncher().launch(argv)
+    token = secrets.token_bytes(AUTH_TOKEN_BYTES)
+    proc = LocalLauncher().launch(argv, token)
     listener.settimeout(60.0)
     sock, _ = listener.accept()
-    hello = recv_frame(sock)
     listener.close()
+    sock.settimeout(60.0)
+    # The worker's first bytes are the token it was given on stdin.
+    assert _recv_exact(sock, AUTH_TOKEN_BYTES) == token
+    hello = recv_frame(sock)
+    sock.settimeout(None)
     return proc, sock, hello
 
 
@@ -358,7 +492,7 @@ class TestWorkerShutdown:
         proc, sock, hello = _spawn_worker(
             role, store_root=str(tmp_path / "store"))
         try:
-            assert hello["proto"] == 2
+            assert hello["proto"] == PROTOCOL_VERSION
             assert hello["role"] == role
             assert hello["node"] == "t"
             proc.send_signal(signal.SIGTERM)
@@ -368,6 +502,15 @@ class TestWorkerShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+    def test_worker_without_token_exits_2(self):
+        # No token on stdin: the worker never dials the parent.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.runtime.worker", "--port", "9"],
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=60.0,
+            env={**os.environ, "PYTHONPATH": _pkg_root()})
+        assert proc.returncode == 2
+        assert b"no authentication token" in proc.stderr
 
     def test_connection_eof_exits_zero(self, tmp_path):
         proc, sock, hello = _spawn_worker(
@@ -394,7 +537,7 @@ class TestHosts:
         assert not specs[2].is_local
 
     def test_parse_hosts_rejects_malformed(self):
-        for bad in ("", "a", "a:b", "a:0", "a:4,a:2"):
+        for bad in ("", "a", "a:b", "a:0", "a:65", "a:4,a:2"):
             with pytest.raises(HostsError):
                 parse_hosts(bad)
 
@@ -411,6 +554,11 @@ class TestHosts:
         assert specs[1].remote_python == "python3.12"
         # resolve_hosts accepts the path spelling too.
         assert resolve_hosts(str(path)) == specs
+
+    def test_local_workers_are_not_held_to_the_host_ceiling(self):
+        # --workers N is sized by the core count; only host entries a
+        # user writes are held to the per-host ceiling.
+        assert RemoteBackend(workers=100).workers == 100
 
     def test_hosts_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "fleet.toml"

@@ -3,16 +3,18 @@
 Three claims, tested end to end through the CLI:
 
 1. **Backend equivalence** — `validate`, `check` and `fuzz` produce
-   byte-identical stdout (and hence identical table SHA-256s) on the
-   serial, warm-pool and loopback-socket backends, at every worker
-   count.  This is the contract that makes ``--workers``/``--transport``
-   pure performance knobs.
+   byte-identical stdout (and hence identical table SHA-256s) inline,
+   on local workers and on one loopback pseudo-host, at every worker
+   count.  This is the contract that makes ``--workers``/``--hosts``
+   pure performance knobs (fleets of several pseudo-hosts are
+   ``tests/test_distributed.py``).
 2. **Scheduler semantics** — results merge in submission order no
-   matter how chunks are reordered for dispatch, and a broken backend
+   matter how chunks are reordered for dispatch, ``--workers`` starts
+   at most one worker more than there are cores, and a broken backend
    degrades to in-process execution with correct results, never wrong
    ones.
 3. **Teardown** — Ctrl-C cancels outstanding work and exits 130; run
-   ledgers record workers/transport/output-hash for ``check`` and
+   ledgers record workers/backend/output-hash for ``check`` and
    ``fuzz`` like they always have for ``validate``.
 """
 
@@ -46,12 +48,14 @@ def _strip_ledger_line(out: str) -> str:
 
 
 # ======================================================================
-# 1. Backend-equivalence matrix: serial == pool == loopback socket
+# 1. Backend-equivalence matrix: inline == local workers == one host
 # ======================================================================
-# (transport, workers): "auto" resolves to the warm process pool with
-# the envelope data plane; "socket" runs workers as TCP subprocesses.
-# Worker counts 2 and 4 cover both the capped (pool) and uncapped
-# (socket) sizing paths.
+# (layout, workers): "auto" is ``--workers N``, which the scheduler
+# sizes itself (at most cores + 1 local workers, sharing the parent's
+# store); "socket" is ``--hosts local:N``, exactly N workers behind one
+# loopback pseudo-host with a private store and the artifact-sync
+# plane.  Worker counts 2 and 4 cover both the capped and uncapped
+# sizing paths.
 MATRIX = [("auto", 2), ("auto", 4), ("socket", 2), ("socket", 4)]
 
 VALIDATE_ARGV = ["validate", "--scenario", "wean", "--benchmark", "ftp",
@@ -76,28 +80,31 @@ def _reference(capsys, key, argv):
     return _REFERENCE[key]
 
 
+def _layout(layout, workers):
+    if layout == "auto":
+        return ["--workers", str(workers)]
+    return ["--hosts", f"local:{workers}"]
+
+
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("transport,workers", MATRIX)
-    def test_validate_matrix(self, capsys, transport, workers):
+    @pytest.mark.parametrize("layout,workers", MATRIX)
+    def test_validate_matrix(self, capsys, layout, workers):
         serial = _reference(capsys, "validate", VALIDATE_ARGV)
-        out = _run(capsys, VALIDATE_ARGV + ["--workers", str(workers),
-                                            "--transport", transport])
+        out = _run(capsys, VALIDATE_ARGV + _layout(layout, workers))
         assert out == serial
         assert _sha(out) == _sha(serial)
 
-    @pytest.mark.parametrize("transport,workers", MATRIX)
-    def test_check_matrix(self, capsys, transport, workers):
+    @pytest.mark.parametrize("layout,workers", MATRIX)
+    def test_check_matrix(self, capsys, layout, workers):
         serial = _reference(capsys, "check", CHECK_ARGV)
-        out = _run(capsys, CHECK_ARGV + ["--workers", str(workers),
-                                         "--transport", transport])
+        out = _run(capsys, CHECK_ARGV + _layout(layout, workers))
         assert out == serial
         assert _sha(out) == _sha(serial)
 
-    @pytest.mark.parametrize("transport,workers", MATRIX)
-    def test_fuzz_matrix(self, capsys, transport, workers):
+    @pytest.mark.parametrize("layout,workers", MATRIX)
+    def test_fuzz_matrix(self, capsys, layout, workers):
         serial = _reference(capsys, "fuzz", FUZZ_ARGV)
-        out = _run(capsys, FUZZ_ARGV + ["--workers", str(workers),
-                                        "--transport", transport])
+        out = _run(capsys, FUZZ_ARGV + _layout(layout, workers))
         assert out == serial
         assert _sha(out) == _sha(serial)
 
@@ -107,13 +114,26 @@ class TestBackendEquivalence:
 # ======================================================================
 class TestScheduler:
     def test_socket_backend_echo_roundtrip(self):
-        exe = Scheduler(workers=2, transport="socket")
+        exe = Scheduler(workers=2)
         try:
             jobs = [_echo_job(i) for i in range(8)]
             assert exe.map_jobs(jobs) == list(range(8))
-            assert exe.transport_used == "socket"
+            assert exe.transport_used == "remote"
+            # The workers connected back over the loopback as one
+            # pseudo-host, which ran every job.
+            (node,) = exe.transport_stats()["backend"]["nodes"]
+            assert node["workers"] == 2 and node["jobs"] == 8
         finally:
             exe.shutdown()
+
+    def test_local_width_is_capped_at_cores_plus_one(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.scheduler.os.cpu_count",
+                            lambda: 1)
+        assert Scheduler(workers=4).effective_workers == 2
+        assert Scheduler(workers=2).effective_workers == 2
+        assert Scheduler(workers=1).effective_workers == 1
+        # A fleet is the width its hosts say, uncapped.
+        assert Scheduler(hosts="local:4,local:4").effective_workers == 8
 
     def test_merge_order_is_submission_order(self):
         # Dispatch reorders by cost (expensive first) and chunks the
@@ -129,19 +149,18 @@ class TestScheduler:
 
     def test_broken_backend_falls_back_to_correct_results(self, monkeypatch):
         class _BrokenBackend:
-            name = "pool"
-            remote = True
+            name = "remote"
 
             def start(self, store_root=None):
                 pass
 
-            def pool_size(self):
-                return 2
-
-            def submit(self, wire, envelope, telemetry_ctx):
+            def submit_chunk(self, wire, telemetry_ctx, input_refs=()):
                 fut = Future()
                 fut.set_exception(OSError("pipe closed"))
                 return fut
+
+            def stats(self):
+                return {}
 
             def shutdown(self, cancel=False):
                 pass
@@ -190,12 +209,12 @@ class TestCliRuntime:
         assert "interrupted" in capsys.readouterr().err
 
     def test_check_writes_ledger_record(self, tmp_path, capsys):
+        serial = _reference(capsys, "check", CHECK_ARGV)
         out = _run(capsys, CHECK_ARGV
                    + ["--workers", "2", "--run-dir", str(tmp_path)])
         assert "appended run manifest" in out
         # Stdout minus the (path-bearing) ledger line matches serial.
-        if "check" in _REFERENCE:
-            assert _strip_ledger_line(out) == _REFERENCE["check"]
+        assert _strip_ledger_line(out) == serial
         lines = (tmp_path / "ledger.jsonl").read_text().splitlines()
         record = json.loads(lines[-1])
         assert record["kind"] == "check"
@@ -203,7 +222,7 @@ class TestCliRuntime:
         assert record["workers"] == 2
         assert record["status"] == "ok"
         assert re.fullmatch(r"[0-9a-f]{64}", record["table_sha256"])
-        assert record["transport"]["transport"] in ("envelope", "pickle")
+        assert record["transport"]["transport"] == "remote"
 
     def test_fuzz_writes_ledger_record(self, tmp_path, capsys):
         out = _run(capsys, ["fuzz", "--count", "1", "--seed", "0",
@@ -218,6 +237,8 @@ class TestCliRuntime:
         assert record["workers"] == 2
 
     def test_unknown_transport_rejected(self, capsys):
+        # --workers and --hosts choose everything; the old backend
+        # selector is a usage error, whatever its value.
         with pytest.raises(SystemExit) as exc:
-            main(CHECK_ARGV + ["--transport", "carrier-pigeon"])
+            main(CHECK_ARGV + ["--transport", "socket"])
         assert exc.value.code == 2
