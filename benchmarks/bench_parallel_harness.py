@@ -17,12 +17,12 @@ measurements:
      previous timer.  The seed's heap accumulates every dead timer
      until the end of time; the current engine's lazy compaction keeps
      the heap near its live size.
-   * ``dense`` — trace-replay style: bursts of events sharing a
-     timestamp are bulk-scheduled up front (``call_batch``) and then
-     drained.  This is the tick wheel's home turf — each occupied tick
-     fires its whole bucket in one sweep with no heap traffic — and the
-     workload the headline ``single_thread_speedup`` is measured on
-     (schedule and drain phases reported separately).
+   * ``dense`` — bursts of 128 events sharing a timestamp, all
+     bulk-scheduled up front (``call_batch``) and then drained, so the
+     whole run is pending at once.  No trial produces this pattern
+     (the paper's trials keep about 20 events pending at most); it is
+     the workload the headline ``single_thread_speedup`` is measured
+     on (schedule and drain phases reported separately).
 
    The chain/retransmit geomean is reported as ``geomean_speedup``.
 
@@ -128,13 +128,13 @@ DENSE_BURST = 128  # events per occupied tick in the dense workload
 def bench_engine(n_events: int, repeats: int) -> Dict[str, object]:
     """Time each workload on the seed and current engines, best-of-N.
 
-    ``single_thread_speedup`` — the number the perf gate reads — is the
-    total (schedule + drain) speedup on the ``dense`` batch-fire
-    workload, the pattern the tick wheel was built for.  The sparser
-    chain/retransmit microbenchmarks gain less (they are dominated by
-    Python callback dispatch, which no scheduler can remove); their
-    geometric mean is reported alongside as ``geomean_speedup`` so the
-    full picture stays on the record.
+    ``single_thread_speedup`` is the total (schedule + drain) speedup
+    on the ``dense`` workload, a burst pattern no trial produces.  The
+    chain/retransmit microbenchmarks are dominated by Python callback
+    dispatch, which no scheduler can remove; their geometric mean is
+    reported alongside as ``geomean_speedup`` so the full picture stays
+    on the record.  The CI gate reads each workload's events/s against
+    the committed ``BENCH_engine.json``.
     """
     out: Dict[str, object] = {"n_events": n_events, "workloads": {}}
     speedups: List[float] = []
@@ -179,10 +179,10 @@ def bench_engine(n_events: int, repeats: int) -> Dict[str, object]:
 
 def bench_dense(n_events: int, repeats: int,
                 burst: int = DENSE_BURST) -> Dict[str, object]:
-    """Trace-replay pattern: bulk-schedule bursts of same-timestamp
-    events up front, then drain.  Phases are timed separately — the
-    schedule phase exercises ``call_batch``, the drain phase the
-    batch-fire sweep."""
+    """Bulk-schedule bursts of same-timestamp events up front, then
+    drain.  Phases are timed separately: the schedule phase exercises
+    ``call_batch``, the drain phase the dispatch loop with every event
+    pending at the start."""
     step = 0.001
     sink = deque(maxlen=0)          # C-level callback, discards its arg
     arg = (None,)
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
 
     print(f"\nsingle-thread engine speedup : "
           f"{engine['single_thread_speedup']:.2f}x on dense batch-fire "
-          f"(target >= 2.5x; chain/retransmit geomean "
+          f"(chain/retransmit geomean "
           f"{engine['geomean_speedup']:.2f}x)")
     print(f"allocation ratio (pool on/off): {alloc['allocation_ratio']}  "
           f"metrics identical: {alloc['metrics_identical']}")

@@ -202,8 +202,9 @@ class CollectionDaemon:
         try:
             while self._running:
                 yield Timeout(self.drain_period)
-                got = device.read(self.batch)
-                self.records.extend(got)
+                # No local for the batch: the suspended frame would
+                # keep the last one alive with the world.
+                self.records.extend(device.read(self.batch))
                 self.drains += 1
         finally:
             # Final drain so records queued at shutdown are not lost.

@@ -9,42 +9,35 @@ Design notes
 * Simulated time is a ``float`` number of seconds.  Events scheduled for
   the same instant fire in scheduling order (a monotone sequence number
   breaks ties), which keeps every run fully deterministic.
-* The schedule lives in an **array-backed tick wheel**: near-future
-  events go into per-tick slot buckets (``WHEEL_TICK`` wide,
-  ``WHEEL_SLOTS`` of them, so the wheel covers a little over four
-  simulated seconds ahead of the cursor) and only far-future events —
-  TCP retransmit timers, reassembly expiries — overflow into a heap.
-  The common schedule/fire path is therefore a list append plus one
-  bucket sort per tick instead of an O(log n) heap shuffle per event.
+* The schedule is **one binary heap** (:mod:`heapq`).  The trials of
+  the paper's protocol keep about 20 events pending at most, so a push
+  or pop is a handful of C-level tuple comparisons, less than the
+  per-event Python bookkeeping a bucketed time wheel spends to avoid
+  them (see ``docs/PERFORMANCE.md``).
 * Queue entries are plain tuples: ``(time, seq, Event)`` for
   cancellable events, ``(time, seq, fn, args)`` for the fire-and-forget
   :meth:`Simulator.call_later` path, which skips the :class:`Event`
   handle allocation entirely.  Tuples compare element-wise at C speed
-  and the sequence number is unique, so both ``bucket.sort()`` and the
-  overflow heap order entries by the total ``(time, seq)`` key without
-  ever invoking a Python-level ``__lt__`` (the third element is never
-  compared, which is also why the two entry shapes can mix freely).
-  That total order makes the wheel/heap boundary safe: a heap entry
-  refilled into a bucket that already holds an equal-time entry still
-  fires in scheduling order.
-* **Batch firing**: the dispatcher drains one tick bucket per sweep,
-  sorting it once and firing every event in it with the clock advanced
-  as it goes.  Callbacks that schedule back into the currently-firing
-  tick append to the live bucket; the dispatcher notices the growth
-  and re-sorts the unfired tail, so intra-tick ordering is exact.
+  and the sequence number is unique, so the heap orders entries by the
+  total ``(time, seq)`` key without ever invoking a Python-level
+  ``__lt__`` (the third element is never compared, which is also why
+  the two entry shapes can mix freely).
+* One dispatch loop serves :meth:`Simulator.run` (with or without a
+  horizon or an event budget) and :meth:`Simulator.step`.  It pops the
+  head, fires it, and repeats; an entry popped beyond the horizon is
+  pushed back, once per call.
 * Cancellation is O(1) and idempotent: the ``cancelled``/``fired``
   flags on the immortal :class:`Event` handle guarantee the live
   counter moves exactly once, and handles are never pooled or reused,
   so a stale handle can never affect a later event (the recycled
   *packet* slots in :mod:`repro.net.packet` are the ones that need
   generation counters; queue entries are plain tuples left to the
-  allocator's free lists).  Dead wheel entries are dropped when their
-  bucket fires; dead heap entries are dropped by a lazy compaction
-  pass that runs when they dominate the heap (TCP retransmit timers
-  are the classic producer of dead bloat), keeping compaction
-  amortized O(1) per cancellation.
+  allocator's free lists).  Dead entries are dropped when they reach
+  the head, or by a lazy compaction pass once they dominate the heap
+  (TCP retransmit timers are the classic producer of dead bloat),
+  keeping compaction amortized O(1) per cancellation.
 * Perf counters (fired/cancelled/compactions, occupancy high-water
-  mark, wheel/heap split, wall time) are kept as plain attributes and
+  mark, near/far split, wall time) are kept as plain attributes and
   snapshot via :meth:`Simulator.stats`; see :mod:`repro.sim.perf`.
 * The engine knows nothing about clock-tick quantization; hosts that
   model a coarse kernel clock (the paper's 10 ms resolution) quantize
@@ -59,26 +52,22 @@ from typing import Any, Callable, List, Optional
 
 from .perf import PerfCounters
 
-# Compaction threshold: rebuild the overflow heap once more than this
-# many dead entries accumulate *and* they outnumber the live ones.  The
-# floor keeps tiny simulations from compacting a dozen-entry heap; the
-# ratio bounds wasted heap depth to one doubling, making compaction
-# amortized O(1) per cancellation.
+# Compaction threshold: rebuild the heap once more than this many dead
+# entries accumulate *and* they outnumber the live ones.  The floor
+# keeps tiny simulations from compacting a dozen-entry heap; the ratio
+# bounds wasted heap depth to one doubling, making compaction amortized
+# O(1) per cancellation.
 COMPACT_MIN_DEAD = 64
 
-# Wheel geometry.  One-millisecond ticks are much finer than any
-# modelled latency source (media serialization, driver gaps, the 10 ms
-# kernel clock), so same-bucket events are genuinely near-simultaneous;
-# 4096 slots put every event less than ~4.1 s out on the fast array
-# path, which covers all media/protocol traffic and leaves only
-# long-period timers for the heap.
+# Geometry of the occupancy counters (see repro.sim.perf):
+# ``bucket_sweeps`` counts the distinct ``WHEEL_TICK`` ticks in which an
+# event fired, and ``wheel_pending``/``heap_pending`` split the live
+# events at ``WHEEL_SLOTS`` ticks (4.096 s) from now.
 WHEEL_TICK = 1e-3
-_INV_TICK = 1.0 / WHEEL_TICK
 WHEEL_SLOTS = 4096
-_WHEEL_MASK = WHEEL_SLOTS - 1
+_NEAR_HORIZON = WHEEL_SLOTS * WHEEL_TICK
 
 _INF = float("inf")
-_FAR_TICK = 1 << 62  # heap-head cache sentinel: "no heap entries"
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -97,8 +86,7 @@ class Event:
     a no-op for the rest of time.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired",
-                 "_sim", "_in_heap")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim")
 
     def __init__(self, time: float = 0.0, seq: int = 0,
                  fn: Optional[Callable[..., Any]] = None,
@@ -110,7 +98,6 @@ class Event:
         self.cancelled = False
         self.fired = False
         self._sim = sim
-        self._in_heap = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once.
@@ -131,12 +118,9 @@ class Event:
             return
         sim._live -= 1
         sim._cancelled_count += 1
-        if self._in_heap:
-            dead = sim._dead_heap = sim._dead_heap + 1
-            if dead > COMPACT_MIN_DEAD and dead * 2 > len(sim._heap):
-                sim._compact()
-        else:
-            sim._dead_wheel += 1
+        dead = sim._dead = sim._dead + 1
+        if dead > COMPACT_MIN_DEAD and dead * 2 > len(sim._heap):
+            sim._compact()
 
     @property
     def pending(self) -> bool:
@@ -170,28 +154,12 @@ class Simulator:
         self._seqno = 0
         self._running = False
         self._events_processed = 0
-        # Tick wheel + overflow heap (see module docstring).
-        self._wheel: List[list] = [[] for _ in range(WHEEL_SLOTS)]
-        self._cur_tick = 0          # lowest tick not yet fully dispatched
-        self._wheel_count = 0       # entries in wheel buckets (live + dead)
-        self._heap: List[tuple] = []  # far-future overflow, (time, seq) order
-        # Cached tick of the heap head (``_FAR_TICK`` when empty), so
-        # the dispatch loops compare two ints per bucket instead of
-        # recomputing ``int(heap[0][0] * _INV_TICK)``.
-        self._heap_head_tick = _FAR_TICK
-        # Min-heap of occupied bucket ticks: a tick is pushed exactly
-        # when its bucket goes empty -> non-empty and popped when the
-        # dispatcher drains the bucket, so ``_ticks[0]`` is always the
-        # next occupied tick.  Media traffic arrives several ticks
-        # apart; this replaces an O(gap) empty-slot walk per event with
-        # one C-level int-heap operation.
-        self._ticks: List[int] = []
+        self._heap: List[tuple] = []  # (time, seq, ...) min-heap
         # Live/dead bookkeeping: _live counts not-yet-cancelled,
-        # not-yet-fired events; the dead counters track cancelled
-        # entries still occupying their structure.
+        # not-yet-fired events; _dead counts cancelled entries still
+        # occupying the heap.
         self._live = 0
-        self._dead_wheel = 0
-        self._dead_heap = 0
+        self._dead = 0
         # Perf counters (see repro.sim.perf for semantics).  The
         # scheduled-event total is the sequence number itself: it is
         # bumped exactly once per schedule/call_later, so the schedule
@@ -203,6 +171,9 @@ class Simulator:
         self._wall_time = 0.0
         self._pending_hwm = 0
         self._bucket_sweeps = 0
+        # Start of the tick after the last one an event fired in, in
+        # ticks: an event at or past it opens a new bucket sweep.
+        self._tick_end = 0.0
 
     # ------------------------------------------------------------------
     # Clock
@@ -235,25 +206,7 @@ class Simulator:
         event.cancelled = False
         event.fired = False
         event._sim = self
-        tick = int(when * _INV_TICK)
-        cur = self._cur_tick
-        if tick - cur < WHEEL_SLOTS:
-            # Float dust can floor a just-now timestamp below the bucket
-            # currently firing; clamp into it (the time itself still
-            # sorts correctly inside the bucket).
-            if tick < cur:
-                tick = cur
-            event._in_heap = False
-            bucket = self._wheel[tick & _WHEEL_MASK]
-            if not bucket:
-                _heappush(self._ticks, tick)
-            bucket.append((when, seq, event))
-            self._wheel_count += 1
-        else:
-            event._in_heap = True
-            _heappush(self._heap, (when, seq, event))
-            if tick < self._heap_head_tick:
-                self._heap_head_tick = tick
+        _heappush(self._heap, (when, seq, event))
         live = self._live = self._live + 1
         if live > self._pending_hwm:
             self._pending_hwm = live
@@ -274,22 +227,7 @@ class Simulator:
         event.cancelled = False
         event.fired = False
         event._sim = self
-        tick = int(when * _INV_TICK)
-        cur = self._cur_tick
-        if tick - cur < WHEEL_SLOTS:
-            if tick < cur:
-                tick = cur
-            event._in_heap = False
-            bucket = self._wheel[tick & _WHEEL_MASK]
-            if not bucket:
-                _heappush(self._ticks, tick)
-            bucket.append((when, seq, event))
-            self._wheel_count += 1
-        else:
-            event._in_heap = True
-            _heappush(self._heap, (when, seq, event))
-            if tick < self._heap_head_tick:
-                self._heap_head_tick = tick
+        _heappush(self._heap, (when, seq, event))
         live = self._live = self._live + 1
         if live > self._pending_hwm:
             self._pending_hwm = live
@@ -304,22 +242,8 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
         seq = self._seqno = self._seqno + 1
-        tick = int(when * _INV_TICK)
-        cur = self._cur_tick
-        if tick - cur < WHEEL_SLOTS:
-            if tick < cur:
-                tick = cur
-            bucket = self._wheel[tick & _WHEEL_MASK]
-            if not bucket:
-                _heappush(self._ticks, tick)
-            bucket.append((when, seq, fn, args))
-            self._wheel_count += 1
-        else:
-            _heappush(self._heap, (when, seq, fn, args))
-            if tick < self._heap_head_tick:
-                self._heap_head_tick = tick
+        _heappush(self._heap, (self._now + delay, seq, fn, args))
         live = self._live = self._live + 1
         if live > self._pending_hwm:
             self._pending_hwm = live
@@ -331,20 +255,7 @@ class Simulator:
                 f"cannot schedule into the past (when={when}, now={self._now})"
             )
         seq = self._seqno = self._seqno + 1
-        tick = int(when * _INV_TICK)
-        cur = self._cur_tick
-        if tick - cur < WHEEL_SLOTS:
-            if tick < cur:
-                tick = cur
-            bucket = self._wheel[tick & _WHEEL_MASK]
-            if not bucket:
-                _heappush(self._ticks, tick)
-            bucket.append((when, seq, fn, args))
-            self._wheel_count += 1
-        else:
-            _heappush(self._heap, (when, seq, fn, args))
-            if tick < self._heap_head_tick:
-                self._heap_head_tick = tick
+        _heappush(self._heap, (when, seq, fn, args))
         live = self._live = self._live + 1
         if live > self._pending_hwm:
             self._pending_hwm = live
@@ -353,20 +264,16 @@ class Simulator:
         """Bulk :meth:`call_at`: schedule many fire-and-forget callbacks.
 
         ``entries`` yields ``(when, fn, args)`` triples with *absolute*
-        timestamps.  This is the trace-replay fast path — loading a
-        collected trace turns into tens of thousands of timestamped
-        events scheduled at once, so the per-call bookkeeping (sequence
-        counter, wheel bounds, live accounting) is hoisted out of the
-        per-entry loop.  ``entries`` must not schedule or cancel other
-        work while being iterated.  Returns the number scheduled.
+        timestamps; the per-call bookkeeping (sequence counter, live
+        accounting) is hoisted out of the per-entry loop.  Nothing in
+        the package calls it: it stays for its tests and the engine
+        microbenchmark's ``dense`` leg.  ``entries`` must not schedule
+        or cancel other work while being iterated.  Returns the number
+        scheduled.
         """
         now = self._now
         seqno = self._seqno
-        wheel = self._wheel
-        ticks = self._ticks
         heap = self._heap
-        cur = self._cur_tick
-        added_wheel = 0
         count = 0
         try:
             for when, fn, args in entries:
@@ -375,25 +282,12 @@ class Simulator:
                         f"cannot schedule into the past (when={when}, now={now})"
                     )
                 seqno += 1
-                tick = int(when * _INV_TICK)
-                if tick - cur < WHEEL_SLOTS:
-                    if tick < cur:
-                        tick = cur
-                    bucket = wheel[tick & _WHEEL_MASK]
-                    if not bucket:
-                        _heappush(ticks, tick)
-                    bucket.append((when, seqno, fn, args))
-                    added_wheel += 1
-                else:
-                    _heappush(heap, (when, seqno, fn, args))
-                    if tick < self._heap_head_tick:
-                        self._heap_head_tick = tick
+                _heappush(heap, (when, seqno, fn, args))
                 count += 1
         finally:
             # A mid-batch error (bad entry) must leave the accepted
             # prefix consistently accounted.
             self._seqno = seqno
-            self._wheel_count += added_wheel
             live = self._live = self._live + count
             if live > self._pending_hwm:
                 self._pending_hwm = live
@@ -402,37 +296,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Structure maintenance
     # ------------------------------------------------------------------
-    def _refill(self) -> None:
-        """Pull heap entries now inside the wheel window into their buckets."""
-        heap = self._heap
-        wheel = self._wheel
-        cur = self._cur_tick
-        bound = cur + WHEEL_SLOTS
-        while heap:
-            head = heap[0]
-            tick = int(head[0] * _INV_TICK)
-            if tick >= bound:
-                break
-            _heappop(heap)
-            if len(head) == 3:
-                event = head[2]
-                if event.fn is None:
-                    # Cancelled while waiting in the heap.
-                    self._dead_heap -= 1
-                    continue
-                event._in_heap = False
-            if tick < cur:
-                tick = cur
-            bucket = wheel[tick & _WHEEL_MASK]
-            if not bucket:
-                _heappush(self._ticks, tick)
-            bucket.append(head)
-            self._wheel_count += 1
-        self._heap_head_tick = (int(heap[0][0] * _INV_TICK) if heap
-                                else _FAR_TICK)
-
     def _compact(self) -> None:
-        """Rebuild the overflow heap without dead (cancelled) entries.
+        """Rebuild the heap without dead (cancelled) entries.
 
         In-place (slice assignment) so the dispatch loop's local heap
         reference stays valid when a callback's ``cancel`` triggers
@@ -444,371 +309,55 @@ class Simulator:
                    if len(e) == 4 or e[2].fn is not None]
         heapq.heapify(heap)
         self._events_compacted += before - len(heap)
-        self._dead_heap = 0
+        self._dead = 0
         self._compactions += 1
-        self._heap_head_tick = (int(heap[0][0] * _INV_TICK) if heap
-                                else _FAR_TICK)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    # Three dispatch loops, specialized like the seed's: the unbounded
-    # drain (``run()``), the horizon drain (``run(until=...)`` — the
-    # harness's chunked pattern), and the fully-featured budgeted loop
-    # (``step`` / ``max_events``).  Each drains one tick bucket per
-    # sweep: sort once, fire in (time, seq) order, merge and re-sort
-    # the unfired tail whenever a callback schedules into the
-    # currently-firing tick.  The per-bucket ``finally`` drops exactly
-    # the consumed prefix, so a mid-bucket stop (horizon, budget, or a
-    # callback exception) leaves the wheel consistent and resumable.
-
-    def _run_unbounded(self) -> None:
-        """Drain the queue with no horizon or budget checks (hot loop)."""
-        wheel = self._wheel
-        heap = self._heap
-        ticks = self._ticks
-        fired = 0
-        try:
-            while self._live:
-                if self._wheel_count == 0:
-                    if not heap:
-                        break
-                    # The head may be dead, but its timestamp is still a
-                    # lower bound for the whole heap; dead entries are
-                    # reclaimed by refill or lazy compaction, never
-                    # eagerly (matching the seed's accounting).
-                    jump = int(heap[0][0] * _INV_TICK)
-                    if jump > self._cur_tick:
-                        self._cur_tick = jump
-                    self._refill()
-                    continue
-                # Scan for the next occupied bucket.  All wheel entries
-                # lie in [cur, cur + WHEEL_SLOTS), so this terminates
-                # within one lap.
-                tick = ticks[0]
-                bucket = wheel[tick & _WHEEL_MASK]
-                # The advanced cursor may make heap entries eligible —
-                # the heap head can even precede the next wheel bucket
-                # (it overflowed relative to an older, smaller cursor).
-                head_tick = self._heap_head_tick
-                if head_tick <= tick:
-                    if head_tick > self._cur_tick:
-                        self._cur_tick = head_tick
-                    self._refill()
-                    continue
-                n = len(bucket)
-                if n == 1:
-                    # Singleton bucket (sparse traffic): fire directly,
-                    # skipping the sort/merge machinery.  The cursor is
-                    # advanced first, so a callback scheduling back into
-                    # this instant lands in the next bucket, where its
-                    # earlier timestamp sorts it ahead — order is
-                    # preserved without the mid-sweep merge.
-                    entry = bucket[0]
-                    bucket.clear()
-                    _heappop(ticks)
-                    self._wheel_count -= 1
-                    self._cur_tick = tick + 1
-                    self._bucket_sweeps += 1
-                    if len(entry) == 3:
-                        event = entry[2]
-                        fn = event.fn
-                        if fn is None:
-                            self._dead_wheel -= 1
-                            continue
-                        event.fired = True
-                        self._now = entry[0]
-                        self._live -= 1
-                        fired += 1
-                        fn(*event.args)
-                    else:
-                        self._now = entry[0]
-                        self._live -= 1
-                        fired += 1
-                        entry[2](*entry[3])
-                    continue
-                self._cur_tick = tick
-                bucket.sort()
-                self._bucket_sweeps += 1
-                i = 0
-                try:
-                    while i < n:
-                        entry = bucket[i]
-                        i += 1
-                        if len(entry) == 3:
-                            event = entry[2]
-                            fn = event.fn
-                            if fn is None:
-                                # Cancelled while waiting in this bucket.
-                                self._dead_wheel -= 1
-                                continue
-                            event.fired = True
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            fn(*event.args)
-                        else:
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            entry[2](*entry[3])
-                        if len(bucket) != n:
-                            # Callbacks scheduled into this tick: keep
-                            # exact (time, seq) order over the unfired
-                            # tail (appends land at the end).
-                            tail = bucket[i:]
-                            tail.sort()
-                            bucket[i:] = tail
-                            n = len(bucket)
-                finally:
-                    del bucket[:i]
-                    self._wheel_count -= i
-                    if not bucket:
-                        _heappop(ticks)
-                self._cur_tick = tick + 1
-        finally:
-            self._events_processed += fired
-
-    def _run_until(self, until: float) -> None:
-        """Drain events up to a horizon, no event budget (hot loop).
-
-        Buckets strictly before the horizon's tick sweep without any
-        per-event time check; only the bucket the horizon bisects pays
-        for one.
-        """
-        wheel = self._wheel
-        heap = self._heap
-        ticks = self._ticks
-        until_tick = int(until * _INV_TICK)
-        fired = 0
-        try:
-            while self._live:
-                if self._wheel_count == 0:
-                    if not heap:
-                        break
-                    head_t = heap[0][0]
-                    if head_t > until:
-                        if until_tick > self._cur_tick:
-                            self._cur_tick = until_tick
-                        break
-                    jump = int(head_t * _INV_TICK)
-                    if jump > self._cur_tick:
-                        self._cur_tick = jump
-                    self._refill()
-                    continue
-                tick = ticks[0]
-                bucket = wheel[tick & _WHEEL_MASK]
-                head_tick = self._heap_head_tick
-                if head_tick <= tick:
-                    if head_tick > self._cur_tick:
-                        self._cur_tick = head_tick
-                    self._refill()
-                    continue
-                if tick < until_tick:
-                    # Whole bucket strictly before the horizon.
-                    n = len(bucket)
-                    if n == 1:
-                        # Singleton fast path (see _run_unbounded).
-                        entry = bucket[0]
-                        bucket.clear()
-                        _heappop(ticks)
-                        self._wheel_count -= 1
-                        self._cur_tick = tick + 1
-                        self._bucket_sweeps += 1
-                        if len(entry) == 3:
-                            event = entry[2]
-                            fn = event.fn
-                            if fn is None:
-                                self._dead_wheel -= 1
-                                continue
-                            event.fired = True
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            fn(*event.args)
-                        else:
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            entry[2](*entry[3])
-                        continue
-                    self._cur_tick = tick
-                    bucket.sort()
-                    self._bucket_sweeps += 1
-                    i = 0
-                    try:
-                        while i < n:
-                            entry = bucket[i]
-                            i += 1
-                            if len(entry) == 3:
-                                event = entry[2]
-                                fn = event.fn
-                                if fn is None:
-                                    self._dead_wheel -= 1
-                                    continue
-                                event.fired = True
-                                self._now = entry[0]
-                                self._live -= 1
-                                fired += 1
-                                fn(*event.args)
-                            else:
-                                self._now = entry[0]
-                                self._live -= 1
-                                fired += 1
-                                entry[2](*entry[3])
-                            if len(bucket) != n:
-                                tail = bucket[i:]
-                                tail.sort()
-                                bucket[i:] = tail
-                                n = len(bucket)
-                    finally:
-                        del bucket[:i]
-                        self._wheel_count -= i
-                        if not bucket:
-                            _heappop(ticks)
-                    self._cur_tick = tick + 1
-                    continue
-                if tick > until_tick and min(bucket)[0] > until:
-                    # Next work is beyond the horizon; park the cursor
-                    # (buckets cur..until_tick are all empty).  The min
-                    # guard keeps late-clamped entries — scheduled for a
-                    # tick the cursor had already passed — from being
-                    # missed behind the horizon.
-                    if until_tick > self._cur_tick:
-                        self._cur_tick = until_tick
-                    return
-                # The horizon bisects this bucket: per-event time checks.
-                self._cur_tick = tick
-                n = len(bucket)
-                if n > 1:
-                    bucket.sort()
-                self._bucket_sweeps += 1
-                i = 0
-                try:
-                    while i < n:
-                        entry = bucket[i]
-                        if entry[0] > until:
-                            break
-                        i += 1
-                        if len(entry) == 3:
-                            event = entry[2]
-                            fn = event.fn
-                            if fn is None:
-                                self._dead_wheel -= 1
-                                continue
-                            event.fired = True
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            fn(*event.args)
-                        else:
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            entry[2](*entry[3])
-                        if len(bucket) != n:
-                            tail = bucket[i:]
-                            tail.sort()
-                            bucket[i:] = tail
-                            n = len(bucket)
-                finally:
-                    del bucket[:i]
-                    self._wheel_count -= i
-                    if not bucket:
-                        _heappop(ticks)
-                if bucket:
-                    return  # cursor stays on this tick for the resume
-                self._cur_tick = tick + 1
-        finally:
-            self._events_processed += fired
-
     def _dispatch(self, until: float, budget: int) -> int:
-        """Budgeted dispatch loop backing :meth:`step` and ``max_events``.
+        """The dispatch loop behind :meth:`run` and :meth:`step`.
 
-        Fires events in exact ``(time, seq)`` order until the queue has
-        no live entries, the next event lies beyond ``until``, or
-        ``budget`` events have fired (``budget < 0`` means unbounded).
-        Returns the number of events fired.
+        Fires events in exact ``(time, seq)`` order until the heap is
+        empty, the next event lies beyond ``until``, or ``budget``
+        events have fired (``budget < 0`` means unbounded).  Returns
+        the number of events fired.
         """
-        wheel = self._wheel
         heap = self._heap
-        ticks = self._ticks
+        inv_tick = 1.0 / WHEEL_TICK
         fired = 0
-        until_tick = -1 if until == _INF else int(until * _INV_TICK)
+        sweeps = 0
+        tick_end = self._tick_end
         try:
-            while self._live:
-                if fired == budget:
+            while heap and fired != budget:
+                entry = _heappop(heap)
+                when = entry[0]
+                if when > until:
+                    _heappush(heap, entry)
                     break
-                if self._wheel_count == 0:
-                    if not heap:
-                        break
-                    head_t = heap[0][0]
-                    if head_t > until:
-                        if until_tick > self._cur_tick:
-                            self._cur_tick = until_tick
-                        break
-                    jump = int(head_t * _INV_TICK)
-                    if jump > self._cur_tick:
-                        self._cur_tick = jump
-                    self._refill()
-                    continue
-                tick = ticks[0]
-                bucket = wheel[tick & _WHEEL_MASK]
-                head_tick = self._heap_head_tick
-                if head_tick <= tick:
-                    if head_tick > self._cur_tick:
-                        self._cur_tick = head_tick
-                    self._refill()
-                    continue
-                if 0 <= until_tick < tick and min(bucket)[0] > until:
-                    self._cur_tick = until_tick
-                    break
-                self._cur_tick = tick
-                n = len(bucket)
-                if n > 1:
-                    bucket.sort()
-                self._bucket_sweeps += 1
-                i = 0
-                stopped = False
-                try:
-                    while i < n:
-                        entry = bucket[i]
-                        if entry[0] > until or fired == budget:
-                            stopped = True
-                            break
-                        i += 1
-                        if len(entry) == 3:
-                            event = entry[2]
-                            fn = event.fn
-                            if fn is None:
-                                self._dead_wheel -= 1
-                                continue
-                            event.fired = True
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            fn(*event.args)
-                        else:
-                            self._now = entry[0]
-                            self._live -= 1
-                            fired += 1
-                            entry[2](*entry[3])
-                        if len(bucket) != n:
-                            tail = bucket[i:]
-                            tail.sort()
-                            bucket[i:] = tail
-                            n = len(bucket)
-                finally:
-                    del bucket[:i]
-                    self._wheel_count -= i
-                    if not bucket:
-                        _heappop(ticks)
-                if stopped and entry[0] > until:
-                    break  # horizon stop: cursor stays on this tick
-                if not bucket:
-                    self._cur_tick = tick + 1
+                if len(entry) == 4:
+                    fn = entry[2]
+                    args = entry[3]
+                else:
+                    event = entry[2]
+                    fn = event.fn
+                    if fn is None:
+                        self._dead -= 1  # cancelled while queued
+                        continue
+                    event.fired = True
+                    args = event.args
+                self._now = when
+                self._live -= 1
+                fired += 1
+                tick = when * inv_tick
+                if tick >= tick_end:
+                    sweeps += 1
+                    tick_end = tick // 1.0 + 1.0
+                fn(*args)
         finally:
             self._events_processed += fired
+            self._bucket_sweeps += sweeps
+            self._tick_end = tick_end
         return fired
 
     def step(self) -> bool:
@@ -830,25 +379,14 @@ class Simulator:
         self._running = True
         started = perf_counter()
         try:
-            if max_events is None:
-                if until is None:
-                    self._run_unbounded()
-                else:
-                    self._run_until(until)
-            else:
-                self._dispatch(_INF if until is None else until, max_events)
+            self._dispatch(_INF if until is None else until,
+                           -1 if max_events is None else max_events)
         finally:
             self._running = False
             self._runs += 1
             self._wall_time += perf_counter() - started
         if until is not None and self._now < until:
             self._now = until
-            if self._live == 0:
-                # Only dead entries (if anything) remain behind the
-                # horizon; parking the cursor keeps future scans short.
-                until_tick = int(until * _INV_TICK)
-                if until_tick > self._cur_tick:
-                    self._cur_tick = until_tick
 
     # ------------------------------------------------------------------
     # Introspection
@@ -859,8 +397,9 @@ class Simulator:
 
     def stats(self) -> PerfCounters:
         """An immutable snapshot of the engine's performance counters."""
-        dead_wheel = self._dead_wheel
-        dead_heap = self._dead_heap
+        horizon = self._now + _NEAR_HORIZON
+        near = sum(1 for e in self._heap
+                   if e[0] < horizon and (len(e) == 4 or e[2].fn is not None))
         return PerfCounters(
             events_scheduled=self._seqno,
             events_fired=self._events_processed,
@@ -868,11 +407,11 @@ class Simulator:
             compactions=self._compactions,
             events_compacted=self._events_compacted,
             pending=self._live,
-            dead=dead_wheel + dead_heap,
+            dead=self._dead,
             runs=self._runs,
             wall_time=self._wall_time,
             pending_hwm=self._pending_hwm,
-            wheel_pending=self._wheel_count - dead_wheel,
-            heap_pending=len(self._heap) - dead_heap,
+            wheel_pending=near,
+            heap_pending=self._live - near,
             bucket_sweeps=self._bucket_sweeps,
         )

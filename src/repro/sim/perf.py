@@ -8,7 +8,8 @@ hot path never pays for attribute indirection through a stats object;
 Counter semantics
 -----------------
 ``events_scheduled``
-    Total events ever pushed (``schedule`` + ``schedule_at``).
+    Total events ever pushed (``schedule``, ``schedule_at``,
+    ``call_later``, ``call_at`` and every ``call_batch`` entry).
 ``events_fired``
     Events whose callback actually ran (same number as
     ``Simulator.events_processed``).
@@ -18,24 +19,30 @@ Counter semantics
 ``compactions`` / ``events_compacted``
     How many times the heap was rebuilt to drop dead (cancelled)
     entries, and how many dead entries those rebuilds removed in total.
-    Dead entries that reach the top of the heap are popped for free and
-    are *not* counted here.
+    Every cancellation counts toward the rebuild rule
+    (``COMPACT_MIN_DEAD`` dead entries, and more dead than live).  Dead
+    entries that reach the top of the heap are popped for free and are
+    *not* counted here.
 ``runs`` / ``wall_time``
     Number of completed :meth:`Simulator.run` calls and the total
     wall-clock seconds spent inside them (callbacks included).
 ``pending`` / ``dead``
     Live queue state at snapshot time: events still waiting to fire and
-    cancelled entries not yet removed from the wheel or overflow heap.
+    cancelled entries not yet removed from the heap.
 ``pending_hwm``
     Queue-occupancy high-water mark: the largest number of live events
     that were ever pending simultaneously.
 ``wheel_pending`` / ``heap_pending``
-    Where the live entries sit right now: in the near-future tick
-    wheel vs. the far-future overflow heap.  Their sum equals
-    ``pending``.
+    The live events due less than ``WHEEL_SLOTS * WHEEL_TICK``
+    (4.096 s) after ``now``, and the rest; their sum equals
+    ``pending``.  The engine keeps one heap, and
+    :meth:`Simulator.stats` counts the split by scanning it, off the
+    hot path.
 ``bucket_sweeps``
-    Number of tick buckets the batch dispatcher has drained; the mean
-    batch size is ``events_fired / bucket_sweeps``.
+    Number of distinct ``WHEEL_TICK`` (1 ms) ticks in which at least one
+    event fired; the mean batch size is ``events_fired /
+    bucket_sweeps``.  The dispatcher keeps the end of the last tick it
+    counted and counts again only when an event fires at or past it.
 """
 
 from __future__ import annotations

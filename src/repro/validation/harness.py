@@ -302,9 +302,13 @@ def collect_trace(scenario: Scenario, seed: int, trial: int,
     """One trace-collection traversal; returns the trace records.
 
     With ``obs`` set and ``obs_out`` given, the traversal's metrics
-    record is placed in ``obs_out["record"]`` (the records list itself
-    stays the collection daemon's, unchanged).  ``world_out`` exposes
+    record is placed in ``obs_out["record"]``.  ``world_out`` exposes
     the finished world/obs pair for in-process invariant checking.
+
+    The caller takes the daemon's records list and the daemon is left
+    an empty one: the finished world is a reference cycle that lives
+    until a full garbage collection, and the records must not live
+    with it once the caller drops them.
     """
     world = scenario.make_live_world(seed, TRACE_TRIAL_OFFSET + trial)
     wobs = attach_observability(world, obs)
@@ -325,7 +329,8 @@ def collect_trace(scenario: Scenario, seed: int, trial: int,
         obs_out["record"] = wobs.record(kind="collect",
                                         scenario=scenario.name,
                                         seed=seed, trial=trial, **extra)
-    return daemon.records
+    records, daemon.records = daemon.records, []
+    return records
 
 
 def distill_scenario_trace(records: List, name: str = "",
@@ -343,7 +348,8 @@ def collect_trace_two_ended(scenario: Scenario, seed: int, trial: int,
     Requires the synchronized, low-drift clocks the paper lacked, so
     the laptop's simulated clock drift is forced to zero.  Returns
     (mobile_records, remote_records) for
-    :class:`repro.core.oneway.OneWayDistiller`.
+    :class:`repro.core.oneway.OneWayDistiller`, taken from the daemons
+    as :func:`collect_trace` takes them.
     """
     world = scenario.make_live_world(seed, TRACE_TRIAL_OFFSET + trial,
                                      laptop_clock_drift=0.0)
@@ -358,7 +364,9 @@ def collect_trace_two_ended(scenario: Scenario, seed: int, trial: int,
     proc = world.laptop.spawn(ping.run(span), name="ping")
     _run_until_done(world, proc, cap=span + 30.0)
     world.run(until=world.sim.now + 2.0)
-    return mobile_daemon.records, remote_daemon.records
+    mobile, mobile_daemon.records = mobile_daemon.records, []
+    remote, remote_daemon.records = remote_daemon.records, []
+    return mobile, remote
 
 
 def run_modulated_trial(replay: ReplayTrace, runner: BenchmarkRunner,

@@ -1,5 +1,8 @@
 """Unit tests for the trace collection machinery (§3.1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps.ping import ModifiedPing
@@ -17,6 +20,8 @@ from repro.core.traceformat import (
     PacketRecord,
 )
 from repro.hosts import LAPTOP_ADDR, SERVER_ADDR
+from repro.scenarios import ChatterboxScenario
+from repro.validation.harness import collect_trace
 
 
 def _rec(i=0):
@@ -215,3 +220,18 @@ def test_small_buffer_overrun_is_reported(live_world):
     records = tracer.pseudo_device.read()
     lost = [r for r in records if isinstance(r, LostRecordsRecord)]
     assert lost and lost[0].count > 0
+
+
+def test_collected_records_are_freed_with_the_returned_list():
+    """``collect_trace`` hands over the daemon's records list: the
+    finished world is a reference cycle that lives until a full garbage
+    collection, and the records must not wait for it."""
+    gc.disable()
+    try:
+        records = collect_trace(ChatterboxScenario(), 3, 0, duration=10.0)
+        assert len(records) == 1415
+        refs = [weakref.ref(r) for r in records]
+        del records
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+import itertools
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimulationError, Simulator
+from repro.sim.engine import WHEEL_SLOTS, WHEEL_TICK
 
 
 def test_clock_starts_at_zero(sim):
@@ -386,3 +390,216 @@ def test_stats_events_per_sec_zero_without_wall_time():
 
     assert PerfCounters().events_per_sec == 0.0
     assert PerfCounters(events_fired=10, wall_time=2.0).events_per_sec == 5.0
+
+
+# ----------------------------------------------------------------------
+# Occupancy counters: bucket sweeps and the near/far split
+# ----------------------------------------------------------------------
+def test_bucket_sweeps_count_distinct_ticks_with_a_firing(sim):
+    """``bucket_sweeps`` is the number of distinct WHEEL_TICK ticks in
+    which an event fired: same-tick events, work scheduled at ``now``,
+    cancelled events and a horizon that splits a tick add none."""
+    assert WHEEL_TICK == 1e-3
+    for when in (0.0001, 0.0002, 0.0011, 0.0019, 0.0031, 5.0):
+        sim.schedule_at(when, lambda: None)
+    sim.call_at(0.0031, lambda: sim.call_later(0.0, lambda: None))
+    sim.schedule_at(0.0025, lambda: None).cancel()    # tick 2: never fires
+    sim.run(until=0.0015)                # ticks 0 and 1, stops inside 1
+    assert sim.stats().bucket_sweeps == 2
+    sim.run()                            # 0.0019 is still tick 1
+    stats = sim.stats()
+    assert stats.events_fired == 8
+    assert stats.bucket_sweeps == 4      # ticks 0, 1, 3 and 5000
+    assert stats.events_fired / stats.bucket_sweeps == 2.0
+
+
+def test_near_far_split_is_measured_from_now(sim):
+    """``wheel_pending`` counts the live events due less than
+    WHEEL_SLOTS ticks (4.096 s) after ``now``, ``heap_pending`` the
+    rest; cancelled events count in neither."""
+    horizon = WHEEL_SLOTS * WHEEL_TICK
+    for when in (1.0, 4.0, horizon, 4.2, 10.0):
+        sim.schedule_at(when, lambda: None)
+    sim.schedule_at(2.0, lambda: None).cancel()
+    sim.schedule_at(20.0, lambda: None).cancel()
+    stats = sim.stats()
+    assert (stats.pending, stats.dead) == (5, 2)
+    assert (stats.wheel_pending, stats.heap_pending) == (2, 3)
+    sim.run(until=3.0)                   # fires 1.0; horizon now 7.096 s
+    stats = sim.stats()
+    assert (stats.pending, stats.dead) == (4, 1)
+    assert (stats.wheel_pending, stats.heap_pending) == (3, 1)
+    sim.run()
+    stats = sim.stats()
+    assert (stats.pending, stats.wheel_pending,
+            stats.heap_pending) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# Differential ordering: the engine against a sorted-list oracle
+# ----------------------------------------------------------------------
+class _OracleHandle:
+    def __init__(self, oracle, key):
+        self._oracle = oracle
+        self._key = key
+        self.done = False
+
+    def cancel(self):
+        if not self.done:
+            self.done = True
+            del self._oracle.pending[self._key]
+
+
+class _Oracle:
+    """The engine's ordering contract in its plainest form: fire the
+    smallest ``(time, seq)`` among the pending entries, one at a time."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = {}
+        self._seq = itertools.count(1)
+
+    def _add(self, when, fn, args, handle):
+        key = (when, next(self._seq))
+        h = _OracleHandle(self, key) if handle else None
+        self.pending[key] = (fn, args, h)
+        return h
+
+    def schedule(self, delay, fn, *args):
+        return self._add(self.now + delay, fn, args, True)
+
+    def schedule_at(self, when, fn, *args):
+        return self._add(when, fn, args, True)
+
+    def call_later(self, delay, fn, *args):
+        self._add(self.now + delay, fn, args, False)
+
+    def call_at(self, when, fn, *args):
+        self._add(when, fn, args, False)
+
+    def call_batch(self, entries):
+        entries = list(entries)
+        for when, fn, args in entries:
+            self._add(when, fn, args, False)
+        return len(entries)
+
+    def pending_count(self):
+        return len(self.pending)
+
+    def _dispatch(self, until, budget):
+        fired = 0
+        while self.pending and fired != budget:
+            key = min(self.pending)
+            if key[0] > until:
+                break
+            fn, args, handle = self.pending.pop(key)
+            if handle is not None:
+                handle.done = True
+            self.now = key[0]
+            fired += 1
+            fn(*args)
+        return fired
+
+    def run(self, until=None, max_events=None):
+        self._dispatch(math.inf if until is None else until,
+                       -1 if max_events is None else max_events)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def step(self):
+        return self._dispatch(math.inf, 1) > 0
+
+
+_APIS = ("schedule", "schedule_at", "call_later", "call_at")
+# Zero, sub-millisecond, 1-100 ms, and beyond the 4.096 s near/far
+# split; the sampled values make exact ties across entry points likely.
+_delays = st.one_of(
+    st.sampled_from([0.0, 0.0005, 0.001, 0.0015, 0.05, 4.1, 4.096]),
+    st.floats(0.0, 1e-3, exclude_max=True),
+    st.floats(1e-3, 0.1),
+    st.floats(4.1, 30.0),
+)
+_actions = st.lists(st.one_of(
+    st.tuples(st.just("again"), st.sampled_from(_APIS), _delays),
+    st.tuples(st.just("now"), st.sampled_from(_APIS)),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+), max_size=2)
+_ops = st.one_of(
+    st.tuples(st.just("sched"), st.sampled_from(_APIS), _delays, _actions),
+    st.tuples(st.just("batch"), st.lists(_delays, min_size=1, max_size=5),
+              _actions),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("until"), _delays),
+    st.tuples(st.just("max"), st.integers(0, 5)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run")),
+)
+
+
+def _execute(sim, program):
+    """Run ``program`` on ``sim``; returns what an observer sees: every
+    firing with its clock, then ``now`` and ``pending_count()`` after
+    each call."""
+    log = []
+    handles = []
+    labels = itertools.count()
+
+    def add(api, delay, actions):
+        fn = make_cb(next(labels), actions)
+        if api in ("schedule", "call_later"):
+            handle = getattr(sim, api)(delay, fn)
+        else:
+            handle = getattr(sim, api)(sim.now + delay, fn)
+        if handle is not None:
+            handles.append(handle)
+
+    def make_cb(label, actions):
+        def cb():
+            log.append(("fire", label, sim.now))
+            for action in actions:
+                if action[0] == "again":
+                    add(action[1], action[2], ())
+                elif action[0] == "now":
+                    add(action[1], 0.0, ())
+                elif handles:
+                    handles[action[1] % len(handles)].cancel()
+        return cb
+
+    for op in program:
+        kind = op[0]
+        if kind == "sched":
+            add(op[1], op[2], op[3])
+        elif kind == "batch":
+            log.append(("batch", sim.call_batch(
+                [(sim.now + d, make_cb(next(labels), op[2]), ())
+                 for d in op[1]])))
+        elif kind == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif kind == "until":
+            sim.run(until=sim.now + op[1])
+        elif kind == "max":
+            sim.run(max_events=op[1])
+        elif kind == "step":
+            log.append(("step", sim.step()))
+        else:
+            sim.run()
+        log.append(("after", kind, sim.now, sim.pending_count()))
+    sim.run()
+    log.append(("end", sim.now, sim.pending_count()))
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ops, min_size=1, max_size=40))
+def test_engine_matches_sorted_oracle(program):
+    """Any mix of the five scheduling calls, cancellations (pending,
+    fired, repeated, from inside callbacks) and the four ways to run
+    fires exactly the sorted ``(time, seq)`` order, with the same
+    ``now`` and ``pending_count()`` after every call."""
+    sim = Simulator()
+    assert _execute(sim, program) == _execute(_Oracle(), program)
+    stats = sim.stats()
+    assert stats.pending == 0
+    assert (stats.events_fired + stats.events_cancelled
+            == stats.events_scheduled)
