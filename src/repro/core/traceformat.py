@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Type, Union
 
 MAGIC = b"RPTR"
@@ -93,25 +93,10 @@ def _schema_for(cls: Type[Any]) -> List[Tuple[str, str]]:
     return [(f.name, _STRUCT_CODES[f.type]) for f in fields(cls)]
 
 
-def _pack_value(code: str, value: Any) -> bytes:
-    if code == "S":
-        raw = str(value).encode("utf-8")
-        return struct.pack("<H", len(raw)) + raw
-    return struct.pack("<" + code, value)
-
-
-def _unpack_value(code: str, buf: memoryview, offset: int) -> Tuple[Any, int]:
-    if code == "S":
-        (length,) = struct.unpack_from("<H", buf, offset)
-        start = offset + 2
-        value = bytes(buf[start:start + length]).decode("utf-8")
-        return value, start + length
-    size = struct.calcsize("<" + code)
-    (value,) = struct.unpack_from("<" + code, buf, offset)
-    return value, offset + size
-
-
+_U32 = struct.Struct("<I")
 _STR_LEN = struct.Struct("<H")
+# Every record is framed as <type id, body length> before its body.
+_RECORD_HEAD = struct.Struct("<HI")
 
 
 class _RecordPlan:
@@ -122,10 +107,12 @@ class _RecordPlan:
     When the schema's field names match the record class exactly — the
     overwhelmingly common case of reading a file this writer produced —
     records are constructed positionally, skipping per-record dict
-    assembly and :func:`dataclasses.fields` introspection.
+    assembly and :func:`dataclasses.fields` introspection, and an
+    all-fixed-width schema (``fixed``) decodes with one ``unpack_from``.
     """
 
-    __slots__ = ("name", "cls", "ops", "positional", "known", "names")
+    __slots__ = ("name", "cls", "ops", "positional", "known", "names",
+                 "fixed")
 
     def __init__(self, name: str, schema: List[Tuple[str, str]]):
         self.name = name
@@ -155,20 +142,25 @@ class _RecordPlan:
         else:
             self.positional = False
             self.known = None
+        self.fixed = (ops[0][1] if self.positional and len(ops) == 1
+                      and ops[0][0] == "f" else None)
 
-    def decode(self, body: memoryview) -> Union[TraceRecord, Dict[str, Any]]:
+    def decode(self, buf: memoryview, pos: int,
+               stop: int) -> Union[TraceRecord, Dict[str, Any]]:
+        """The record whose body is exactly ``buf[pos:stop]``."""
         values: List[Any] = []
-        offset = 0
         for kind, st, _names in self.ops:
             if kind == "f":
-                values.extend(st.unpack_from(body, offset))
-                offset += st.size
+                values.extend(st.unpack_from(buf, pos))
+                pos += st.size
             else:
-                (length,) = _STR_LEN.unpack_from(body, offset)
-                start = offset + 2
-                values.append(bytes(body[start:start + length])
-                              .decode("utf-8"))
-                offset = start + length
+                (length,) = _STR_LEN.unpack_from(buf, pos)
+                start = pos + 2
+                pos = start + length
+                values.append(str(buf[start:pos], "utf-8"))
+        if pos != stop:
+            raise ValueError(f"{self.name} record body is {stop - pos:+d} "
+                             f"byte(s) off its declared length")
         if self.positional:
             return self.cls(*values)
         rec = dict(zip(self.names, values))
@@ -189,15 +181,39 @@ class _RecordPlan:
         return b"".join(parts)
 
 
-_PLAN_CACHE: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], _RecordPlan] = {}
+def _header_blob(description: str,
+                 schemas: Dict[str, List[Tuple[str, str]]],
+                 type_ids: Dict[str, int]) -> bytes:
+    header = {
+        "version": VERSION,
+        "description": description,
+        "types": {name: {"id": type_ids[name], "fields": schema}
+                  for name, schema in schemas.items()},
+    }
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def _type_ids(schemas: Dict[str, Any]) -> Dict[str, int]:
+    return {name: i for i, name in enumerate(sorted(schemas))}
+
+
+# Plans for this package's own record types, compiled once; a header
+# declaring any other schema gets plans compiled for that trace alone.
+# _OWN_HEADER is the exact header a writer with no description and no
+# extra schemas emits (every codec trace block): a reader that sees it
+# reuses these plans without parsing the JSON at all.
+_OWN_SCHEMAS = {name: _schema_for(cls) for name, cls in RECORD_CLASSES.items()}
+_OWN_PLANS = {(name, tuple(schema)): _RecordPlan(name, schema)
+              for name, schema in _OWN_SCHEMAS.items()}
+_OWN_TYPE_IDS = _type_ids(_OWN_SCHEMAS)
+_OWN_HEADER = _header_blob("", _OWN_SCHEMAS, _OWN_TYPE_IDS)
+_OWN_BY_ID = {_OWN_TYPE_IDS[name]: _OWN_PLANS[(name, tuple(schema))]
+              for name, schema in _OWN_SCHEMAS.items()}
 
 
 def _plan_for(name: str, schema: List[Tuple[str, str]]) -> _RecordPlan:
-    key = (name, tuple((f, c) for f, c in schema))
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _PLAN_CACHE[key] = _RecordPlan(name, schema)
-    return plan
+    plan = _OWN_PLANS.get((name, tuple((f, c) for f, c in schema)))
+    return plan if plan is not None else _RecordPlan(name, schema)
 
 
 class TraceWriter:
@@ -206,33 +222,22 @@ class TraceWriter:
     def __init__(self, stream: BinaryIO, description: str = "",
                  extra_schemas: Optional[Dict[str, List[Tuple[str, str]]]] = None):
         self._stream = stream
-        self._schemas: Dict[str, List[Tuple[str, str]]] = {
-            name: _schema_for(cls) for name, cls in RECORD_CLASSES.items()
-        }
+        self._schemas: Dict[str, List[Tuple[str, str]]] = dict(_OWN_SCHEMAS)
         if extra_schemas:
             self._schemas.update(extra_schemas)
-        self._type_ids = {name: i for i, name in enumerate(sorted(self._schemas))}
+        self._type_ids = _type_ids(self._schemas)
         self._plans = {name: _plan_for(name, schema)
                        for name, schema in self._schemas.items()}
         self.records_written = 0
-        self._write_header(description)
-
-    def _write_header(self, description: str) -> None:
-        header = {
-            "version": VERSION,
-            "description": description,
-            "types": {name: {"id": self._type_ids[name], "fields": schema}
-                      for name, schema in self._schemas.items()},
-        }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        blob = _header_blob(description, self._schemas, self._type_ids)
         self._stream.write(MAGIC)
-        self._stream.write(struct.pack("<I", len(blob)))
+        self._stream.write(_U32.pack(len(blob)))
         self._stream.write(blob)
 
     def write(self, record: TraceRecord) -> None:
         name = record.RECORD_TYPE
         body = self._plans[name].encode(record)
-        self._stream.write(struct.pack("<HI", self._type_ids[name], len(body)))
+        self._stream.write(_RECORD_HEAD.pack(self._type_ids[name], len(body)))
         self._stream.write(body)
         self.records_written += 1
 
@@ -241,43 +246,91 @@ class TraceWriter:
             self.write(record)
 
 
+def _read_header(buf: memoryview) -> Tuple[str, Dict[int, _RecordPlan], int]:
+    """(description, plan per type id, offset of the first record)."""
+    magic = bytes(buf[:4])
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r}; not a trace file")
+    if len(buf) < 8:
+        raise ValueError("truncated trace header")
+    (header_len,) = _U32.unpack_from(buf, 4)
+    pos = 8 + header_len
+    if pos > len(buf):
+        raise ValueError("truncated trace header")
+    raw = bytes(buf[8:pos])
+    if raw == _OWN_HEADER:
+        return "", _OWN_BY_ID, pos
+    try:
+        header = json.loads(raw.decode("utf-8"))
+        if header["version"] != VERSION:
+            raise ValueError(
+                f"unsupported trace version {header['version']}")
+        by_id = {}
+        for name, info in header["types"].items():
+            by_id[info["id"]] = _plan_for(name, info["fields"])
+        return header.get("description", ""), by_id, pos
+    except (KeyError, TypeError, AttributeError, RecursionError,
+            struct.error) as exc:
+        raise ValueError(f"malformed trace header: {exc!r}") from None
+
+
+def _parse_records(buf: memoryview, pos: int,
+                   by_id: Dict[int, _RecordPlan]
+                   ) -> List[Union[TraceRecord, Dict[str, Any]]]:
+    """Every record from ``pos`` to the end of ``buf`` — the one parsing
+    loop.  Strict: a partial record header, a body running past the
+    end or off its declared length, or a type id the header never
+    declared raises :class:`ValueError`."""
+    out: List[Union[TraceRecord, Dict[str, Any]]] = []
+    append = out.append
+    head = _RECORD_HEAD.unpack_from
+    end = len(buf)
+    try:
+        while pos < end:
+            if end - pos < 6:
+                raise ValueError(f"partial record header: {end - pos} "
+                                 f"byte(s) after the last record")
+            type_id, body_len = head(buf, pos)
+            pos += 6
+            stop = pos + body_len
+            if stop > end:
+                raise ValueError(f"truncated record: body needs {body_len} "
+                                 f"byte(s), {end - pos} left")
+            plan = by_id.get(type_id)
+            if plan is None:
+                raise ValueError(f"record type id {type_id} is not "
+                                 f"declared in the trace header")
+            fixed = plan.fixed
+            if fixed is not None and fixed.size == body_len:
+                append(plan.cls(*fixed.unpack_from(buf, pos)))
+            else:
+                append(plan.decode(buf, pos, stop))
+            pos = stop
+    except (struct.error, TypeError) as exc:
+        raise ValueError(f"corrupt trace record: {exc}") from None
+    return out
+
+
 class TraceReader:
     """Parses a trace written by :class:`TraceWriter`.
 
     Unknown record types (present in the file header but not in
     ``RECORD_CLASSES``) are surfaced as plain dicts — the format is
-    self-descriptive, so nothing is lost.
+    self-descriptive, so nothing is lost.  The whole stream is read and
+    parsed on construction, so a malformed trace raises
+    :class:`ValueError` there.
     """
 
     def __init__(self, stream: BinaryIO):
-        magic = stream.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}; not a trace file")
-        (header_len,) = struct.unpack("<I", stream.read(4))
-        header = json.loads(stream.read(header_len).decode("utf-8"))
-        if header["version"] != VERSION:
-            raise ValueError(f"unsupported trace version {header['version']}")
-        self.description = header.get("description", "")
-        self._by_id: Dict[int, _RecordPlan] = {}
-        for name, info in header["types"].items():
-            schema = [tuple(pair) for pair in info["fields"]]
-            self._by_id[info["id"]] = _plan_for(name, schema)
-        self._stream = stream
-        self._head = struct.Struct("<HI")
+        buf = memoryview(stream.read())
+        self.description, by_id, pos = _read_header(buf)
+        self._records = iter(_parse_records(buf, pos, by_id))
 
     def __iter__(self):
         return self
 
     def __next__(self) -> Union[TraceRecord, Dict[str, Any]]:
-        head = self._stream.read(6)
-        if len(head) < 6:
-            raise StopIteration
-        type_id, body_len = self._head.unpack(head)
-        body = memoryview(self._stream.read(body_len))
-        plan = self._by_id.get(type_id)
-        if plan is None:
-            return {"record_type": f"unknown:{type_id}"}
-        return plan.decode(body)
+        return next(self._records)
 
     def read_all(self) -> List[Union[TraceRecord, Dict[str, Any]]]:
         return list(self)
@@ -306,6 +359,9 @@ def dumps_trace(records: Iterable[TraceRecord], description: str = "") -> bytes:
     return buf.getvalue()
 
 
-def loads_trace(blob: bytes) -> List[Union[TraceRecord, Dict[str, Any]]]:
-    """Parse a trace blob produced by :func:`dumps_trace`."""
-    return TraceReader(io.BytesIO(blob)).read_all()
+def loads_trace(blob) -> List[Union[TraceRecord, Dict[str, Any]]]:
+    """Parse a trace blob produced by :func:`dumps_trace` (any
+    bytes-like object; a :class:`memoryview` is read in place)."""
+    buf = memoryview(blob)
+    _description, by_id, pos = _read_header(buf)
+    return _parse_records(buf, pos, by_id)

@@ -10,7 +10,7 @@ reruns recompute only the stages whose inputs actually changed.
 
 from .api import Pipeline, StageExecution, as_pipeline
 from .codec import CodecError, content_digest, decode, decode_gz, encode, encode_gz
-from .fingerprint import cache_token, canonical_json, digest
+from .fingerprint import Canonical, cache_token, canonical_json, digest
 from .stages import (
     ALL_STAGES,
     CACHE_FORMAT_VERSION,
@@ -28,6 +28,7 @@ __all__ = [
     "ALL_STAGES",
     "ArtifactStore",
     "CACHE_FORMAT_VERSION",
+    "Canonical",
     "CodecError",
     "CollectStage",
     "CompensationStage",

@@ -39,7 +39,9 @@ artifact travelled) holds through any number of round trips.
 for on-disk artifacts in :class:`~repro.pipeline.store.ArtifactStore`.
 
 Failure modes raise :class:`CodecError`: bad magic, unsupported
-version, truncated or corrupt frames, trailing bytes.
+version, truncated or corrupt frames, trailing bytes, and containers
+nested deeper than :data:`MAX_DEPTH` (which :func:`encode` refuses
+too, so every value it accepts decodes).
 """
 
 from __future__ import annotations
@@ -48,11 +50,19 @@ import gzip
 import hashlib
 import pickle
 import struct
-from typing import Any, List, Tuple
+from itertools import starmap
+from typing import Any, Tuple
+
+from ..analysis.stats import Summary
+from ..core.distill import DistillationResult, ParameterEstimate
+from ..core.replay import QualityTuple, ReplayTrace
+from ..core.traceformat import (DeviceStatusRecord, LostRecordsRecord,
+                                PacketRecord, dumps_trace, loads_trace)
 
 __all__ = [
     "MAGIC",
     "VERSION",
+    "MAX_DEPTH",
     "CodecError",
     "encode",
     "decode",
@@ -65,6 +75,11 @@ MAGIC = b"RBAC"        # Repro Binary Artifact Codec
 VERSION = 1
 _HEADER = struct.Struct("<4sH")
 _GZIP_MAGIC = b"\x1f\x8b"
+# Deepest list/tuple/dict nesting a frame may hold.  The deepest
+# artifact this package writes (a live trial with a traced obs record)
+# nests 7 levels; the bound keeps a hostile frame from exhausting the
+# interpreter's stack.
+MAX_DEPTH = 64
 
 # Value tags ------------------------------------------------------------
 _T_NONE = 0x00
@@ -81,7 +96,7 @@ _T_DICT = 0x12         # <I count, key/value value pairs
 _T_TRACE_RECORDS = 0x20  # <I len, traceformat blob (self-descriptive)
 _T_QUALITY = 0x21      # <5d  (d, F, Vb, Vr, L)
 _T_REPLAY = 0x22       # str name, <I count, count x <5d
-_T_ESTIMATE = 0x23     # <4d (time, F, Vb, Vr), <B corrected
+_T_ESTIMATE = 0x23     # <4d (time, F, Vb, Vr), one 0/1 byte corrected
 _T_DISTILL = 0x24      # replay, estimates, <6q counters, status records
 _T_SUMMARY = 0x25      # <ddq (mean, std, n)
 _T_PICKLE = 0x7F       # <I len, pickle bytes (irregular small objects)
@@ -91,30 +106,31 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 _QUALITY = struct.Struct("<5d")
-_ESTIMATE = struct.Struct("<4dB")
+_ESTIMATE = struct.Struct("<4d?")   # "?" packs 0/1 and unpacks a bool
 _SUMMARY = struct.Struct("<ddq")
 _COUNTERS = struct.Struct("<6q")
 
 
 class CodecError(ValueError):
     """A frame that cannot be decoded: bad magic, bad version,
-    truncation, corruption, or trailing bytes."""
+    truncation, corruption, trailing bytes or nesting past
+    :data:`MAX_DEPTH` (also raised by :func:`encode` for such a value)."""
 
 
 # ======================================================================
 # Encoding
 # ======================================================================
-def _trace_types():
-    from ..core.traceformat import (DeviceStatusRecord, LostRecordsRecord,
-                                    PacketRecord)
-    return (PacketRecord, DeviceStatusRecord, LostRecordsRecord)
+_TRACE_TYPES = (PacketRecord, DeviceStatusRecord, LostRecordsRecord)
 
 
-def _encode_value(obj: Any, out: bytearray) -> None:
-    from ..analysis.stats import Summary
-    from ..core.distill import DistillationResult, ParameterEstimate
-    from ..core.replay import QualityTuple, ReplayTrace
+def _nest(depth: int) -> int:
+    """The depth of a container's items; refuses to pass MAX_DEPTH."""
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"containers nest deeper than {MAX_DEPTH} levels")
+    return depth + 1
 
+
+def _encode_value(obj: Any, out: bytearray, depth: int) -> None:
     if obj is None:
         out.append(_T_NONE)
     elif obj is True:
@@ -145,30 +161,30 @@ def _encode_value(obj: Any, out: bytearray) -> None:
         out += _U32.pack(len(obj))
         out += obj
     elif type(obj) is list:
-        trace_types = _trace_types()
-        if obj and all(type(item) in trace_types for item in obj):
-            from ..core.traceformat import dumps_trace
-
+        if obj and all(type(item) in _TRACE_TYPES for item in obj):
             blob = dumps_trace(obj)
             out.append(_T_TRACE_RECORDS)
             out += _U32.pack(len(blob))
             out += blob
         else:
+            inner = _nest(depth)
             out.append(_T_LIST)
             out += _U32.pack(len(obj))
             for item in obj:
-                _encode_value(item, out)
+                _encode_value(item, out, inner)
     elif type(obj) is tuple:
+        inner = _nest(depth)
         out.append(_T_TUPLE)
         out += _U32.pack(len(obj))
         for item in obj:
-            _encode_value(item, out)
+            _encode_value(item, out, inner)
     elif type(obj) is dict:
+        inner = _nest(depth)
         out.append(_T_DICT)
         out += _U32.pack(len(obj))
         for key, value in obj.items():
-            _encode_value(key, out)
-            _encode_value(value, out)
+            _encode_value(key, out, inner)
+            _encode_value(value, out, inner)
     elif type(obj) is QualityTuple:
         out.append(_T_QUALITY)
         out += _QUALITY.pack(obj.d, obj.F, obj.Vb, obj.Vr, obj.L)
@@ -177,18 +193,18 @@ def _encode_value(obj: Any, out: bytearray) -> None:
     elif type(obj) is ParameterEstimate:
         out.append(_T_ESTIMATE)
         out += _ESTIMATE.pack(obj.time, obj.F, obj.Vb, obj.Vr,
-                              1 if obj.corrected else 0)
+                              obj.corrected)
     elif type(obj) is DistillationResult:
         out.append(_T_DISTILL)
         _encode_replay(obj.replay, out)
         out += _U32.pack(len(obj.estimates))
         for est in obj.estimates:
             out += _ESTIMATE.pack(est.time, est.F, est.Vb, est.Vr,
-                                  1 if est.corrected else 0)
+                                  est.corrected)
         out += _COUNTERS.pack(obj.groups_total, obj.groups_used,
                               obj.groups_corrected, obj.groups_skipped,
                               obj.echoes_sent, obj.replies_received)
-        _encode_value(list(obj.status_records), out)
+        _encode_value(list(obj.status_records), out, depth)
     elif type(obj) is Summary:
         out.append(_T_SUMMARY)
         out += _SUMMARY.pack(obj.mean, obj.std, obj.n)
@@ -216,7 +232,7 @@ def _encode_replay(replay, out: bytearray) -> None:
 def encode(obj: Any) -> bytes:
     """Serialize ``obj`` to a versioned binary frame."""
     out = bytearray(_HEADER.pack(MAGIC, VERSION))
-    _encode_value(obj, out)
+    _encode_value(obj, out, 0)
     return bytes(out)
 
 
@@ -244,11 +260,7 @@ class _Reader:
         return st.unpack(self.take(st.size))
 
 
-def _decode_value(r: _Reader) -> Any:
-    from ..analysis.stats import Summary
-    from ..core.distill import DistillationResult, ParameterEstimate
-    from ..core.replay import QualityTuple
-
+def _decode_value(r: _Reader, depth: int) -> Any:
     (tag,) = r.unpack(_U8)
     if tag == _T_NONE:
         return None
@@ -267,40 +279,38 @@ def _decode_value(r: _Reader) -> Any:
         return r.unpack(_F64)[0]
     if tag == _T_STR:
         (n,) = r.unpack(_U32)
-        return bytes(r.take(n)).decode("utf-8")
+        return str(r.take(n), "utf-8")
     if tag == _T_BYTES:
         (n,) = r.unpack(_U32)
         return bytes(r.take(n))
     if tag == _T_LIST:
         (n,) = r.unpack(_U32)
-        return [_decode_value(r) for _ in range(n)]
+        inner = _nest(depth)
+        return [_decode_value(r, inner) for _ in range(n)]
     if tag == _T_TUPLE:
         (n,) = r.unpack(_U32)
-        return tuple(_decode_value(r) for _ in range(n))
+        inner = _nest(depth)
+        return tuple(_decode_value(r, inner) for _ in range(n))
     if tag == _T_DICT:
         (n,) = r.unpack(_U32)
+        inner = _nest(depth)
         out = {}
         for _ in range(n):
-            key = _decode_value(r)
-            out[key] = _decode_value(r)
+            key = _decode_value(r, inner)
+            out[key] = _decode_value(r, inner)
         return out
     if tag == _T_TRACE_RECORDS:
-        from ..core.traceformat import loads_trace
-
         (n,) = r.unpack(_U32)
         try:
-            return loads_trace(bytes(r.take(n)))
-        except (ValueError, struct.error) as exc:
+            return loads_trace(r.take(n))
+        except ValueError as exc:
             raise CodecError(f"corrupt trace-record block: {exc}")
     if tag == _T_QUALITY:
-        d, F, Vb, Vr, L = r.unpack(_QUALITY)
-        return QualityTuple(d=d, F=F, Vb=Vb, Vr=Vr, L=L)
+        return QualityTuple(*r.unpack(_QUALITY))
     if tag == _T_REPLAY:
         return _decode_replay(r)
     if tag == _T_ESTIMATE:
-        t, F, Vb, Vr, corrected = r.unpack(_ESTIMATE)
-        return ParameterEstimate(time=t, F=F, Vb=Vb, Vr=Vr,
-                                 corrected=bool(corrected))
+        return ParameterEstimate(*r.unpack(_ESTIMATE))
     if tag == _T_DISTILL:
         (rtag,) = r.unpack(_U8)
         if rtag != _T_REPLAY:
@@ -308,12 +318,10 @@ def _decode_value(r: _Reader) -> Any:
         replay = _decode_replay(r)
         (n,) = r.unpack(_U32)
         block = r.take(n * _ESTIMATE.size)
-        estimates = [
-            ParameterEstimate(time=t, F=F, Vb=Vb, Vr=Vr,
-                              corrected=bool(corrected))
-            for t, F, Vb, Vr, corrected in _ESTIMATE.iter_unpack(block)]
+        estimates = list(starmap(ParameterEstimate,
+                                 _ESTIMATE.iter_unpack(block)))
         counters = r.unpack(_COUNTERS)
-        statuses = _decode_value(r)
+        statuses = _decode_value(r, depth)
         return DistillationResult(
             replay=replay, estimates=estimates,
             groups_total=counters[0], groups_used=counters[1],
@@ -321,8 +329,7 @@ def _decode_value(r: _Reader) -> Any:
             echoes_sent=counters[4], replies_received=counters[5],
             status_records=statuses)
     if tag == _T_SUMMARY:
-        mean, std, n = r.unpack(_SUMMARY)
-        return Summary(mean=mean, std=std, n=n)
+        return Summary(*r.unpack(_SUMMARY))
     if tag == _T_PICKLE:
         (n,) = r.unpack(_U32)
         try:
@@ -332,24 +339,22 @@ def _decode_value(r: _Reader) -> Any:
     raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
-def _decode_replay(r: _Reader):
-    from ..core.replay import QualityTuple, ReplayTrace
-
+def _decode_replay(r: _Reader) -> ReplayTrace:
     (n,) = r.unpack(_U32)
-    name = bytes(r.take(n)).decode("utf-8")
+    name = str(r.take(n), "utf-8")
     (count,) = r.unpack(_U32)
     block = r.take(count * _QUALITY.size)
     try:
-        tuples = [QualityTuple(d=d, F=F, Vb=Vb, Vr=Vr, L=L)
-                  for d, F, Vb, Vr, L in _QUALITY.iter_unpack(block)]
-        return ReplayTrace(tuples, name=name)
+        return ReplayTrace(starmap(QualityTuple, _QUALITY.iter_unpack(block)),
+                           name=name)
     except ValueError as exc:
         raise CodecError(f"corrupt replay frame: {exc}")
 
 
 def decode(blob: bytes) -> Any:
     """Parse a frame produced by :func:`encode` (strict: trailing
-    bytes, truncation, bad magic and unknown versions all raise)."""
+    bytes, truncation, bad magic, unknown versions and nesting past
+    :data:`MAX_DEPTH` all raise :class:`CodecError`)."""
     r = _Reader(memoryview(blob))
     try:
         magic, version = r.unpack(_HEADER)
@@ -362,8 +367,12 @@ def decode(blob: bytes) -> Any:
         raise CodecError(f"unsupported artifact codec version {version} "
                          f"(this build reads version {VERSION})")
     try:
-        value = _decode_value(r)
-    except struct.error as exc:
+        value = _decode_value(r, 0)
+    except CodecError:
+        raise
+    except (struct.error, ValueError, TypeError) as exc:
+        # A value no encoder wrote: an invalid quality tuple, bad
+        # UTF-8, an unhashable dict key.
         raise CodecError(f"corrupt frame: {exc}")
     if r.pos != r.end:
         raise CodecError(f"{r.end - r.pos} trailing byte(s) after the "

@@ -118,6 +118,16 @@ class DistillStage(Stage):
         return {"collect": self.collect.fingerprint(),
                 "distiller": self.distiller, "label": self.label}
 
+    def fingerprint(self) -> str:
+        # Once per stage object: a sweep chains each distill stage into
+        # its distill trial and every modulated trial of its traversal.
+        # Keyed by the format version, which re-keys every stage.
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None or memo[0] != CACHE_FORMAT_VERSION:
+            memo = (CACHE_FORMAT_VERSION, super().fingerprint())
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo[1]
+
     def compute(self, pipeline,
                 world_out: Optional[Dict] = None) -> DistillationResult:
         from ..validation.harness import distill_scenario_trace

@@ -299,9 +299,24 @@ class SpecScenario(Scenario):
             access_latency_mean=values["access"],
         )
 
-    def cache_token(self) -> Dict[str, Any]:
-        return {"type": "SpecScenario", "format": SPEC_FORMAT_VERSION,
-                "spec": spec_to_dict(self.spec)}
+    def cache_token(self):
+        """The spec's token as a :class:`~repro.pipeline.Canonical`,
+        built once per scenario object and spec: a sweep fingerprints
+        each scenario for every trial it runs, and a spec is frozen."""
+        memo = self.__dict__.get("_token_memo")
+        if memo is None or memo[0] is not self.spec:
+            from ..pipeline.fingerprint import Canonical
+
+            memo = self._token_memo = (self.spec, Canonical(
+                {"type": "SpecScenario", "format": SPEC_FORMAT_VERSION,
+                 "spec": spec_to_dict(self.spec)}))
+        return memo[1]
+
+    def __getstate__(self):
+        # Workers get the spec, not its rendered token.
+        state = self.__dict__.copy()
+        state.pop("_token_memo", None)
+        return state
 
 
 # ======================================================================

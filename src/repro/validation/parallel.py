@@ -310,15 +310,18 @@ def spec_fingerprint(spec: TrialSpec,
     ``{"__distill__", "__obs__"}`` wrapper, which gets its own keyspace.
 
     ``distill_stage`` supplies the upstream ancestry for ``"modulated"``
-    specs (the spec itself only carries the materialized replay).
+    specs (the spec itself only carries the materialized replay); for a
+    ``"distill"`` spec it is the stage the spec runs, so a sweep that
+    keeps the stage computes its fingerprint once for the distill trial
+    and every modulated trial chained to it.
     Returns ``None`` — never cache — when an input has no stable token.
     """
     try:
         if spec.kind == "distill":
-            stage = DistillStage(
-                CollectStage(spec.scenario, spec.seed, spec.trial,
-                             obs=spec.obs),
-                distiller=spec.distiller, label=spec.name)
+            stage = distill_stage
+            if stage is None:
+                stage = _distill_stage(spec.scenario, spec.seed, spec.trial,
+                                       spec.distiller, spec.obs, spec.name)
             if spec.obs is None:
                 return stage.fingerprint()
             return digest({"trial": "distill+obs",
@@ -401,12 +404,28 @@ def _executor_for(workers: Optional[int],
 # ======================================================================
 # The entry points behind the harness and figures functions
 # ======================================================================
+def _distill_stage(scenario: Scenario, seed: int, trial: int,
+                   distiller: Optional[Distiller],
+                   obs: Optional[ObsConfig], label: str) -> DistillStage:
+    return DistillStage(CollectStage(scenario, seed, trial, obs=obs),
+                        distiller=distiller, label=label)
+
+
+def _distill_spec(stage: DistillStage) -> TrialSpec:
+    """The worker task that collects and distills ``stage``'s traversal,
+    fingerprinted through ``stage``."""
+    collect = stage.collect
+    return _fingerprinted(TrialSpec(
+        kind="distill", seed=collect.seed, trial=collect.trial,
+        scenario=collect.scenario, distiller=stage.distiller,
+        name=stage.label, obs=collect.obs), stage)
+
+
 def _distill_specs(scenario: Scenario, seed: int, trials: int,
                    distiller: Optional[Distiller],
                    obs: Optional[ObsConfig] = None) -> List[TrialSpec]:
-    return [_fingerprinted(TrialSpec(
-                kind="distill", seed=seed, trial=t, scenario=scenario,
-                distiller=distiller, name=f"{scenario.name}-{t}", obs=obs))
+    return [_distill_spec(_distill_stage(scenario, seed, t, distiller, obs,
+                                         f"{scenario.name}-{t}"))
             for t in range(trials)]
 
 
@@ -690,21 +709,20 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
         variants = runner.variants()
         n = len(scenarios)
 
-        # Distill-stage ancestry per (scenario, trial): the modulated
-        # specs chain these fingerprints so a changed scenario spec or
-        # distiller invalidates exactly its downstream trials.
-        dist_stages = [[DistillStage(CollectStage(scenario, sd, t, obs=obs),
-                                     distiller=distiller,
-                                     label=f"{scenario.name}-{t}")
+        # One distill stage per (scenario, seed, trial).  Its
+        # fingerprint, computed once, keys the distill trial and is
+        # chained into every modulated trial of that traversal, so a
+        # changed scenario spec or distiller invalidates exactly its
+        # downstream trials.
+        dist_stages = [[_distill_stage(scenario, sd, t, distiller, obs,
+                                       f"{scenario.name}-{t}")
                         for sd, t in runs]
                        for scenario in scenarios]
 
         # ---- queue every dependency-free trial -----------------------
-        nodep_specs: List[TrialSpec] = []
-        for scenario in scenarios:
-            for sd in range(seed, seed + seeds_n):
-                nodep_specs.extend(
-                    _distill_specs(scenario, sd, trials, distiller, obs))
+        nodep_specs: List[TrialSpec] = [_distill_spec(stage)
+                                        for stages in dist_stages
+                                        for stage in stages]
         for scenario in scenarios:
             for variant in variants:
                 for sd, t in runs:

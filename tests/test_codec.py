@@ -264,3 +264,80 @@ def test_format_version_changes_stage_fingerprints(monkeypatch):
     now = stage.fingerprint()
     monkeypatch.setattr(stages, "CACHE_FORMAT_VERSION", 1)
     assert stage.fingerprint() != now
+
+
+# ======================================================================
+# Nesting bound and trace-block strictness
+# ======================================================================
+def _nested_list_frame(depth: int) -> bytes:
+    """A frame of ``depth`` one-element lists around ``None``, built by
+    hand because the encoder refuses to write one past MAX_DEPTH."""
+    return (codec.MAGIC + struct.pack("<H", codec.VERSION)
+            + (b"\x10" + struct.pack("<I", 1)) * depth + b"\x00")
+
+
+def _nested(depth: int):
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_deep_nesting_is_a_codec_error():
+    with pytest.raises(CodecError, match="nest deeper"):
+        codec.decode(_nested_list_frame(5000))
+
+
+def test_nesting_limit_is_the_same_both_ways():
+    deepest = _nested(codec.MAX_DEPTH)
+    assert codec.decode(codec.encode(deepest)) == deepest
+    assert codec.encode(deepest) == _nested_list_frame(codec.MAX_DEPTH)
+    with pytest.raises(CodecError):
+        codec.encode([deepest])
+    with pytest.raises(CodecError):
+        codec.decode(_nested_list_frame(codec.MAX_DEPTH + 1))
+
+
+def test_deeply_nested_artifact_is_dropped_and_missed(tmp_path):
+    store = ArtifactStore(tmp_path)
+    store.put("ab" * 32, [1, 2, 3])
+    (path,) = (tmp_path / "objects").glob("*/*.rba")
+    path.write_bytes(gzip.compress(_nested_list_frame(5000), mtime=0))
+    found, value = store.get("ab" * 32)
+    assert not found and value is None
+    assert not path.exists()
+
+
+def test_padded_trace_block_is_a_codec_error():
+    records = [DeviceStatusRecord(1.0, -60.0, 0.9, -90.0),
+               DeviceStatusRecord(2.0, -61.0, 0.8, -91.0)]
+    frame = codec.encode(records)
+    assert frame[6] == 0x20  # the trace-record block tag
+    (n,) = struct.unpack_from("<I", frame, 7)
+    for pad in (1, 3, 5):
+        padded = (frame[:7] + struct.pack("<I", n + pad) + frame[11:]
+                  + b"\x00" * pad)
+        with pytest.raises(CodecError, match="trace-record block"):
+            codec.decode(padded)
+
+
+def test_invalid_value_in_frame_is_a_codec_error():
+    header = codec.MAGIC + struct.pack("<H", codec.VERSION)
+    bad_tuple = header + b"\x21" + struct.pack("<5d", -1.0, 0, 0, 0, 0)
+    bad_utf8 = header + b"\x06" + struct.pack("<I", 1) + b"\xff"
+    list_key = (header + b"\x12" + struct.pack("<I", 1)
+                + b"\x10" + struct.pack("<I", 0) + b"\x00")
+    for frame in (bad_tuple, bad_utf8, list_key):
+        with pytest.raises(CodecError):
+            codec.decode(frame)
+
+
+@pytest.mark.parametrize("corrected", [True, False])
+def test_estimate_flag_round_trips_as_bool(corrected):
+    est = ParameterEstimate(time=0.5, F=0.05, Vb=1e-4, Vr=0.0,
+                            corrected=corrected)
+    blob = codec.encode(est)
+    assert blob[7:] == struct.pack("<4dB", 0.5, 0.05, 1e-4, 0.0,
+                                   1 if corrected else 0)
+    out = codec.decode(blob)
+    assert out == est and out.corrected is corrected

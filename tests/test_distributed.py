@@ -388,6 +388,15 @@ class TestSyncFrames:
         with pytest.raises(SyncError):
             encode_sync("PUT", {"k": "not-bytes"})
 
+    def test_deeply_nested_body_rejected(self):
+        from repro.pipeline import codec
+
+        body = (codec.MAGIC + struct.pack("<H", codec.VERSION)
+                + (b"\x10" + struct.pack("<I", 1)) * 5000 + b"\x00")
+        frame = have_frame(["a"])[:len(SYNC_MAGIC) + 2] + body
+        with pytest.raises(SyncError):
+            decode_sync(frame)
+
 
 class TestFrameLength:
     @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2 ** 33,

@@ -13,17 +13,21 @@ Three layers under test:
   same bytes as the cold (and the uncached) run.
 """
 
+import hashlib
 import pickle
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pipeline import (
     ALL_STAGES,
     ArtifactStore,
+    Canonical,
     CollectStage,
     CompensationStage,
     DistillStage,
+    EthernetTrialStage,
     LiveTrialStage,
     ModulatedTrialStage,
     Pipeline,
@@ -32,7 +36,12 @@ from repro.pipeline import (
     canonical_json,
     digest,
 )
-from repro.scenarios import scenario_by_name
+from repro.scenarios import (
+    ALL_SCENARIOS,
+    ChatterboxScenario,
+    WeanScenario,
+    scenario_by_name,
+)
 from repro.validation import FtpRunner, run_validation
 from repro.validation.parallel import (
     TrialExecutor,
@@ -43,6 +52,17 @@ from repro.validation.parallel import (
 
 def wean():
     return scenario_by_name("wean")
+
+
+class _Tokened:
+    """An object whose cache_token() is ``token``, rendered once when
+    ``canonical``."""
+
+    def __init__(self, token, canonical):
+        self.token, self.canonical = token, canonical
+
+    def cache_token(self):
+        return Canonical(self.token) if self.canonical else self.token
 
 
 # ======================================================================
@@ -88,6 +108,31 @@ class TestCacheToken:
         assert fp == digest({"x": 1})
         assert fp != digest({"x": 2})
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=6),
+        lambda kids: (
+            st.lists(kids, max_size=3)
+            | st.dictionaries(st.text(max_size=3) | st.integers(0, 3)
+                              | st.booleans(), kids, max_size=4)
+            | st.builds(_Tokened, kids, st.booleans())),
+        max_leaves=20))
+    def test_digest_splices_canonical_tokens_exactly(self, token):
+        """However a Canonical sits in a token, the digest is the
+        SHA-256 of the token's canonical JSON rendered in one piece."""
+        whole = canonical_json(cache_token(token)).encode("utf-8")
+        assert digest(token) == hashlib.sha256(whole).hexdigest()
+
+    def test_scenario_token_is_memoized_per_object_not_pickled(self):
+        scenario = wean()
+        fp = digest(scenario)
+        memo = scenario.cache_token()
+        assert type(memo) is Canonical and scenario.cache_token() is memo
+        clone = pickle.loads(pickle.dumps(scenario))
+        assert "_token_memo" not in vars(clone)
+        assert digest(clone) == fp
+
 
 class TestStageFingerprints:
     def test_deterministic_across_instances(self):
@@ -131,6 +176,48 @@ class TestStageFingerprints:
     def test_all_stage_names_distinct(self):
         names = [cls.stage_name for cls in ALL_STAGES]
         assert len(set(names)) == len(names)
+
+    def test_fingerprints_are_pinned(self):
+        """Caches written before a change to the fingerprint code stay
+        warm only while these literals hold."""
+        collect = CollectStage(WeanScenario(), 0, 0)
+        distill = DistillStage(collect, label="wean-0")
+        runner = FtpRunner(2 * 1024 * 1024, "recv")
+        got = {
+            "collect": collect.fingerprint(),
+            "distill": distill.fingerprint(),
+            "live": LiveTrialStage(ChatterboxScenario(), runner, 0,
+                                   1).fingerprint(),
+            "modulated": ModulatedTrialStage(distill, runner, 0, 0,
+                                             compensation=0.25
+                                             ).fingerprint(),
+            "ethernet": EthernetTrialStage(runner, 0, 2).fingerprint(),
+            "compensation": CompensationStage().fingerprint(),
+        }
+        assert got == {
+            "collect": "1e66dbf8bdb5973aacd89b73d8cc8da3"
+                       "a34f04bc95ad9d0b4b89e8249355f00a",
+            "distill": "a172379deb9b0e6279ad12a8462daaee"
+                       "de910d3d38bf6864bc8993222ea23589",
+            "live": "b3d4dcff03c905c89ec5798f47e6dc7b"
+                    "0c8be6c1ff6ae0f0840aaeb0ebcb6741",
+            "modulated": "f5095f4e4c90cbcadbd50f1558f8b0d5"
+                         "325b46af616539c50f9aa934386ae070",
+            "ethernet": "425a6294f339b4291c3277f4a033fd5a"
+                        "c2ebac86cd84ed8c67887ab69302d3c5",
+            "compensation": "e27b92e12e1847c105a951b3bcbfdfa2"
+                            "b8f1f62d4b85efa7d67b5b2c207474fc",
+        }
+
+    def test_distill_memo_follows_the_format_version(self, monkeypatch):
+        from repro.pipeline import stages
+
+        stage = DistillStage(CollectStage(wean(), seed=0, trial=0))
+        now = stage.fingerprint()
+        monkeypatch.setattr(stages, "CACHE_FORMAT_VERSION", 1)
+        assert stage.fingerprint() != now
+        assert stage.fingerprint() == DistillStage(
+            CollectStage(wean(), seed=0, trial=0)).fingerprint()
 
 
 # ======================================================================
@@ -305,6 +392,12 @@ class TestValidationCaching:
         stage = LiveTrialStage(wean(), RUNNER, 0, 0)
         assert spec_fingerprint(spec) == stage.fingerprint()
 
+    def test_distill_spec_fingerprint_matches_its_stage(self):
+        spec = TrialSpec(kind="distill", seed=0, trial=1, scenario=wean(),
+                         name="wean-1")
+        stage = DistillStage(CollectStage(wean(), 0, 1), label="wean-1")
+        assert spec_fingerprint(spec) == stage.fingerprint()
+
     def test_spec_fingerprint_none_on_unstable_input(self):
         class Opaque:
             name = "opaque"
@@ -324,6 +417,32 @@ class TestValidationCaching:
             second = exe.map([spec])
         assert first == second
         assert pipeline.misses == 1 and pipeline.hits == 1
+
+
+class TestSweepFingerprintWork:
+    def test_each_scenario_token_is_built_once_per_sweep(self,
+                                                         monkeypatch):
+        """A sweep renders each scenario object's token once, however
+        many trials fingerprint it — cold, and warm on fresh objects."""
+        from repro.scenarios import spec as spec_module
+
+        built = []
+        real = spec_module.spec_to_dict
+
+        def counting(spec):
+            built.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(spec_module, "spec_to_dict", counting)
+        runner = FtpRunner(nbytes=20_000, direction="recv")
+        pipeline = Pipeline()
+        for warm in (False, True):
+            built.clear()
+            sweep = run_validation(ALL_SCENARIOS, runner, seed=0,
+                                   trials=1, workers=1, cache=pipeline)
+            assert sorted(built) == sorted(cls.spec.name
+                                           for cls in ALL_SCENARIOS)
+            assert (sweep.cache_misses == 0) == warm
 
 
 class TestCheckReportCaching:
