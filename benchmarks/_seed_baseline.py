@@ -20,6 +20,7 @@ import contextlib
 import copy
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.engine import SimulationError
@@ -305,6 +306,67 @@ def _seed_reassembler_accept(self, packet):
 
 
 # ----------------------------------------------------------------------
+# Seed distillation window: a linear scan over every estimate, reply and
+# echo for each window
+# ----------------------------------------------------------------------
+def _seed_distill_window(self, estimates, echo_out, replies, t0, duration):
+    from repro.core.replay import QualityTuple
+
+    if not estimates:
+        raise ValueError("no usable packet groups; cannot distill")
+    echoes = sorted((p.timestamp - t0, p.seq) for p in echo_out)
+    reply_times = sorted(p.timestamp - t0 for p in replies)
+    answered = {p.seq for p in replies}
+    tuples = []
+    prev = None
+    steps = max(1, int(math.ceil(duration / self.step)))
+    for k in range(steps):
+        lo = k * self.step
+        hi = lo + self.step
+        center = (lo + hi) / 2.0
+        w_lo = center - self.window_width / 2.0
+        w_hi = center + self.window_width / 2.0
+        in_window = [e for e in estimates if w_lo <= e.time < w_hi]
+        if in_window:
+            n = len(in_window)
+            F = sum(e.F for e in in_window) / n
+            Vb = sum(e.Vb for e in in_window) / n
+            Vr = sum(e.Vr for e in in_window) / n
+        elif prev is not None:
+            F, Vb, Vr = prev.F, prev.Vb, prev.Vr
+        else:
+            first = estimates[0]
+            F, Vb, Vr = first.F, first.Vb, first.Vr
+        L = self._loss_for_window(w_lo, w_hi, echoes, answered,
+                                  reply_times,
+                                  prev.L if prev is not None else 0.0)
+        tup = QualityTuple(d=self.step, F=max(0.0, F), Vb=max(0.0, Vb),
+                           Vr=max(0.0, Vr), L=L)
+        tuples.append(tup)
+        prev = tup
+    return tuples
+
+
+def _seed_loss_for_window(self, w_lo, w_hi, echoes, answered, reply_times,
+                          fallback):
+    span_lo = w_lo
+    span_hi = w_hi
+    before = [t for t in reply_times if t < w_lo]
+    after = [t for t in reply_times if t > w_hi]
+    if before:
+        span_lo = before[-1]
+    if after:
+        span_hi = after[0]
+    sent = [seq for t, seq in echoes if span_lo <= t <= span_hi]
+    a = len(sent)
+    if a == 0:
+        return fallback
+    b = sum(1 for seq in sent if seq in answered)
+    ratio = min(1.0, b / a)
+    return max(0.0, 1.0 - math.sqrt(ratio))
+
+
+# ----------------------------------------------------------------------
 @contextlib.contextmanager
 def seed_mode():
     """Run the enclosed block with the seed-revision hot paths installed.
@@ -334,9 +396,10 @@ def seed_mode():
         (EthernetSegment, "_transmit_done", _seed_ether_transmit_done),
         (EthernetSegment, "_deliver", _seed_ether_deliver),
         (Reassembler, "accept", _seed_reassembler_accept),
-        # The seed had a scalar distillation loop; the optimized path
-        # is byte-compatible, so this only changes speed, never output.
-        (Distiller, "_window", Distiller._window_scalar),
+        # The seed's scalar distillation loop; the bisect window is
+        # byte-compatible, so this only changes speed, never output.
+        (Distiller, "_window", _seed_distill_window),
+        (Distiller, "_loss_for_window", _seed_loss_for_window),
     ]
     # Originals by (owner, name); a name the current code no longer
     # defines is deleted again on exit.

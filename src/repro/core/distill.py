@@ -41,13 +41,10 @@ which the validation deliberately stresses (§5.3).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-try:  # Vectorized window selection; the scalar path needs nothing extra.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 from .replay import QualityTuple, ReplayTrace
 from .traceformat import (
@@ -231,71 +228,46 @@ class Distiller:
                 t0: float, duration: float) -> List[QualityTuple]:
         """Sliding-window averaging (step 4) plus per-window loss (step 5).
 
-        The selection math — which estimates fall in each window, which
-        replies bound each loss span, how many echoes in the span were
-        answered — is vectorized: one ``searchsorted`` per bound over
-        pre-sorted arrays and an integer prefix sum over the answered
-        flags, all exact index arithmetic.  The floating-point work
-        (averaging F/Vb/Vr, Eq. 10) stays in plain Python over the
-        selected slices, in the same order with the same operations as
-        the scalar path, so both paths produce byte-identical tuples.
+        Each window's estimates, and the replies and echoes bounding its
+        loss span, are found by ``bisect`` over time-sorted lists; the
+        answered echoes in a span are counted with an integer prefix
+        sum.  A window's estimates are averaged in their original list
+        order, so the tuples do not depend on whether the estimates
+        arrive sorted by time.
+
+        The loss span runs from the last reply before the window to the
+        first reply after it, so losses adjacent to the window edges
+        are attributed somewhere rather than nowhere.  Expected replies
+        are matched to sent ECHOs *by sequence number* — a reply that
+        lands just past the span edge still answers its echo, so only
+        genuinely missing replies count as losses.
         """
-        if _np is None:
-            return self._window_scalar(estimates, echo_out, replies,
-                                       t0, duration)
         if not estimates:
             raise ValueError("no usable packet groups; cannot distill")
-        est_times = _np.array([e.time for e in estimates],
-                              dtype=_np.float64)
-        if est_times.size > 1 and bool((_np.diff(est_times) < 0.0).any()):
-            # Group estimates arrive time-sorted; fall back rather than
-            # assume if a caller hands us something else.
-            return self._window_scalar(estimates, echo_out, replies,
-                                       t0, duration)
+        order = sorted(range(len(estimates)), key=lambda i: estimates[i].time)
+        est_times = [estimates[i].time for i in order]
         echoes = sorted((p.timestamp - t0, p.seq) for p in echo_out)
+        echo_times = [t for t, _ in echoes]
         answered = {p.seq for p in replies}
-        echo_times = _np.array([t for t, _ in echoes], dtype=_np.float64)
-        reply_times = _np.array(sorted(p.timestamp - t0 for p in replies),
-                                dtype=_np.float64)
-        answered_cum = _np.zeros(len(echoes) + 1, dtype=_np.int64)
-        if echoes:
-            _np.cumsum([1 if seq in answered else 0 for _, seq in echoes],
-                       out=answered_cum[1:])
-
-        steps = max(1, int(math.ceil(duration / self.step)))
-        ks = _np.arange(steps, dtype=_np.float64)
-        los = ks * self.step
-        his = los + self.step
-        centers = (los + his) / 2.0
-        w_los = centers - self.window_width / 2.0
-        w_his = centers + self.window_width / 2.0
-        est_lo = _np.searchsorted(est_times, w_los, side="left")
-        est_hi = _np.searchsorted(est_times, w_his, side="left")
-        # Loss spans: from the last reply before the window to the first
-        # after it (edges themselves when no such reply exists).
-        if reply_times.size:
-            r_lo = _np.searchsorted(reply_times, w_los, side="left")
-            r_hi = _np.searchsorted(reply_times, w_his, side="right")
-            span_los = _np.where(r_lo > 0,
-                                 reply_times[_np.maximum(r_lo - 1, 0)],
-                                 w_los)
-            span_his = _np.where(r_hi < reply_times.size,
-                                 reply_times[_np.minimum(r_hi,
-                                                         reply_times.size - 1)],
-                                 w_his)
-        else:
-            span_los = w_los
-            span_his = w_his
-        echo_lo = _np.searchsorted(echo_times, span_los, side="left")
-        echo_hi = _np.searchsorted(echo_times, span_his, side="right")
+        answered_cum = list(accumulate((seq in answered for _, seq in echoes),
+                                       initial=0))
+        reply_times = sorted(p.timestamp - t0 for p in replies)
+        n_replies = len(reply_times)
+        half_width = self.window_width / 2.0
 
         tuples: List[QualityTuple] = []
         prev: Optional[QualityTuple] = None
+        steps = max(1, int(math.ceil(duration / self.step)))
         for k in range(steps):
-            i_lo = est_lo[k]
-            i_hi = est_hi[k]
+            lo = k * self.step
+            hi = lo + self.step
+            center = (lo + hi) / 2.0
+            w_lo = center - half_width
+            w_hi = center + half_width
+            i_lo = bisect_left(est_times, w_lo)
+            i_hi = bisect_left(est_times, w_hi)
             if i_hi > i_lo:
-                seg = estimates[i_lo:i_hi]
+                seg = [estimates[i] for i in sorted(order[i_lo:i_hi])]
                 n = i_hi - i_lo
                 F = sum(e.F for e in seg) / n
                 Vb = sum(e.Vb for e in seg) / n
@@ -305,11 +277,17 @@ class Distiller:
             else:
                 first = estimates[0]
                 F, Vb, Vr = first.F, first.Vb, first.Vr
-            a = int(echo_hi[k] - echo_lo[k])
+            r = bisect_left(reply_times, w_lo)
+            span_lo = reply_times[r - 1] if r > 0 else w_lo
+            r = bisect_right(reply_times, w_hi)
+            span_hi = reply_times[r] if r < n_replies else w_hi
+            e_lo = bisect_left(echo_times, span_lo)
+            e_hi = bisect_right(echo_times, span_hi)
+            a = e_hi - e_lo
             if a == 0:
                 L = prev.L if prev is not None else 0.0
             else:
-                b = int(answered_cum[echo_hi[k]] - answered_cum[echo_lo[k]])
+                b = answered_cum[e_hi] - answered_cum[e_lo]
                 ratio = min(1.0, b / a)
                 L = max(0.0, 1.0 - math.sqrt(ratio))
             tup = QualityTuple(d=self.step, F=max(0.0, F), Vb=max(0.0, Vb),
@@ -317,74 +295,6 @@ class Distiller:
             tuples.append(tup)
             prev = tup
         return tuples
-
-    def _window_scalar(self, estimates: List[ParameterEstimate],
-                       echo_out: List[PacketRecord],
-                       replies: List[PacketRecord],
-                       t0: float, duration: float) -> List[QualityTuple]:
-        """Reference scalar implementation (numpy-free fallback)."""
-        if not estimates:
-            raise ValueError("no usable packet groups; cannot distill")
-        echoes = sorted((p.timestamp - t0, p.seq) for p in echo_out)
-        reply_times = sorted(p.timestamp - t0 for p in replies)
-        answered = {p.seq for p in replies}
-        tuples: List[QualityTuple] = []
-        prev: Optional[QualityTuple] = None
-        steps = max(1, int(math.ceil(duration / self.step)))
-        for k in range(steps):
-            lo = k * self.step
-            hi = lo + self.step
-            center = (lo + hi) / 2.0
-            w_lo = center - self.window_width / 2.0
-            w_hi = center + self.window_width / 2.0
-            in_window = [e for e in estimates if w_lo <= e.time < w_hi]
-            if in_window:
-                n = len(in_window)
-                F = sum(e.F for e in in_window) / n
-                Vb = sum(e.Vb for e in in_window) / n
-                Vr = sum(e.Vr for e in in_window) / n
-            elif prev is not None:
-                F, Vb, Vr = prev.F, prev.Vb, prev.Vr
-            else:
-                first = estimates[0]
-                F, Vb, Vr = first.F, first.Vb, first.Vr
-            L = self._loss_for_window(w_lo, w_hi, echoes, answered,
-                                      reply_times,
-                                      prev.L if prev is not None else 0.0)
-            tup = QualityTuple(d=self.step, F=max(0.0, F), Vb=max(0.0, Vb),
-                               Vr=max(0.0, Vr), L=L)
-            tuples.append(tup)
-            prev = tup
-        return tuples
-
-    def _loss_for_window(self, w_lo: float, w_hi: float,
-                         echoes: List[Tuple[float, int]],
-                         answered: set, reply_times: List[float],
-                         fallback: float) -> float:
-        """Sequence-number loss estimate for one window (Eq. 10).
-
-        The span runs from the last reply before the window to the
-        first reply after it, so losses adjacent to the window edges
-        are attributed somewhere rather than nowhere.  Expected replies
-        are matched to sent ECHOs *by sequence number* — a reply that
-        lands just past the span edge still answers its echo, so only
-        genuinely missing replies count as losses.
-        """
-        span_lo = w_lo
-        span_hi = w_hi
-        before = [t for t in reply_times if t < w_lo]
-        after = [t for t in reply_times if t > w_hi]
-        if before:
-            span_lo = before[-1]
-        if after:
-            span_hi = after[0]
-        sent = [seq for t, seq in echoes if span_lo <= t <= span_hi]
-        a = len(sent)
-        if a == 0:
-            return fallback
-        b = sum(1 for seq in sent if seq in answered)
-        ratio = min(1.0, b / a)
-        return max(0.0, 1.0 - math.sqrt(ratio))
 
     # populated per distill() call
     _groups_total: int = 0

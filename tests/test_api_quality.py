@@ -5,14 +5,20 @@ Documentation and structural invariants, enforced mechanically:
 * every public module, class and function carries a docstring;
 * ``repro.__all__`` names resolve;
 * the model module stays independent of distiller and modulator
-  (the paper's separability claim, §3.2).
+  (the paper's separability claim, §3.2);
+* the package runs on the standard library alone: no process it
+  starts, parent or worker, loads numpy.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import repro
+from repro.runtime.hosts import _pkg_root
 
 PACKAGES = [
     "repro.sim", "repro.net", "repro.protocols", "repro.hosts",
@@ -101,3 +107,56 @@ def test_version_consistency():
         installed = None
     if installed is not None:
         assert installed == repro.__version__
+
+
+_VALIDATE = ["validate", "--scenario", "wean", "--benchmark", "ftp",
+             "--trials", "1", "--ftp-bytes", "200000"]
+
+_NO_NUMPY_SCRIPT = f"""
+import contextlib, io, sys
+import repro
+import repro.runtime.worker
+from repro.cli import main
+from repro.core.distill import Distiller
+from repro.scenarios import WeanScenario
+from repro.validation.harness import collect_trace
+
+result = Distiller().distill(collect_trace(WeanScenario(), seed=0, trial=0))
+assert len(result.replay) > 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({_VALIDATE!r} + ["--workers", "1"]) == 0
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "numpy")
+assert not loaded, loaded
+"""
+
+
+def _run(args, pythonpath):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, timeout=300.0,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def test_no_process_imports_numpy():
+    """Importing the package, distilling a collected trace and running
+    a one-trial validation never load numpy."""
+    proc = _run(["-c", _NO_NUMPY_SCRIPT], _pkg_root())
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_validate_is_identical_without_numpy(tmp_path):
+    """With an ``import numpy`` that raises first on ``PYTHONPATH``, a
+    two-worker validation prints the same bytes; the workers inherit
+    the environment, so they run without numpy too."""
+    stub = tmp_path / "numpy"
+    stub.mkdir()
+    (stub / "__init__.py").write_text(
+        'raise ImportError("numpy is unavailable")\n')
+    blocked = f"{tmp_path}{os.pathsep}{_pkg_root()}"
+    assert _run(["-c", "import numpy"], blocked).returncode != 0
+
+    argv = ["-m", "repro", *_VALIDATE, "--workers", "2"]
+    with_numpy = _run(argv, _pkg_root())
+    without = _run(argv, blocked)
+    assert with_numpy.returncode == 0, with_numpy.stderr.decode()
+    assert without.returncode == 0, without.stderr.decode()
+    assert without.stdout == with_numpy.stdout

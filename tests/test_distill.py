@@ -6,11 +6,13 @@ algebra of Eqs. 5-10 — plus the correction and windowing behaviour.
 """
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.distill import Distiller, ParameterEstimate
+from repro.core.replay import QualityTuple
 from repro.core.traceformat import DIR_IN, DIR_OUT, PacketRecord
 
 S1 = 88    # small probe IP size
@@ -235,6 +237,114 @@ def test_custom_ident_filter():
         rec.rtt = rec.rtt * 10 if rec.rtt > 0 else rec.rtt
     result = Distiller(ident=1).distill(records + other)
     assert result.groups_used == 5
+
+
+# The seed's scalar windowing, kept verbatim as the oracle for
+# ``Distiller._window``: a linear scan per window over every estimate,
+# reply and echo.
+def _oracle_window(self, estimates, echo_out, replies, t0, duration):
+    if not estimates:
+        raise ValueError("no usable packet groups; cannot distill")
+    echoes = sorted((p.timestamp - t0, p.seq) for p in echo_out)
+    reply_times = sorted(p.timestamp - t0 for p in replies)
+    answered = {p.seq for p in replies}
+    tuples = []
+    prev = None
+    steps = max(1, int(math.ceil(duration / self.step)))
+    for k in range(steps):
+        lo = k * self.step
+        hi = lo + self.step
+        center = (lo + hi) / 2.0
+        w_lo = center - self.window_width / 2.0
+        w_hi = center + self.window_width / 2.0
+        in_window = [e for e in estimates if w_lo <= e.time < w_hi]
+        if in_window:
+            n = len(in_window)
+            F = sum(e.F for e in in_window) / n
+            Vb = sum(e.Vb for e in in_window) / n
+            Vr = sum(e.Vr for e in in_window) / n
+        elif prev is not None:
+            F, Vb, Vr = prev.F, prev.Vb, prev.Vr
+        else:
+            first = estimates[0]
+            F, Vb, Vr = first.F, first.Vb, first.Vr
+        L = _oracle_loss_for_window(w_lo, w_hi, echoes, answered,
+                                    reply_times,
+                                    prev.L if prev is not None else 0.0)
+        tup = QualityTuple(d=self.step, F=max(0.0, F), Vb=max(0.0, Vb),
+                           Vr=max(0.0, Vr), L=L)
+        tuples.append(tup)
+        prev = tup
+    return tuples
+
+
+def _oracle_loss_for_window(w_lo, w_hi, echoes, answered, reply_times,
+                            fallback):
+    span_lo = w_lo
+    span_hi = w_hi
+    before = [t for t in reply_times if t < w_lo]
+    after = [t for t in reply_times if t > w_hi]
+    if before:
+        span_lo = before[-1]
+    if after:
+        span_hi = after[0]
+    sent = [seq for t, seq in echoes if span_lo <= t <= span_hi]
+    a = len(sent)
+    if a == 0:
+        return fallback
+    b = sum(1 for seq in sent if seq in answered)
+    ratio = min(1.0, b / a)
+    return max(0.0, 1.0 - math.sqrt(ratio))
+
+
+# Times either on a coarse grid, so they tie window edges, or anywhere.
+_times = st.one_of(
+    st.integers(min_value=-8, max_value=100).map(lambda i: i * 0.25),
+    st.floats(min_value=-2.0, max_value=25.0))
+_costs = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _window_inputs(draw):
+    estimates = draw(st.lists(
+        st.builds(ParameterEstimate, time=_times, F=_costs, Vb=_costs,
+                  Vr=_costs, corrected=st.booleans()),
+        min_size=1, max_size=40))
+    if draw(st.booleans()):
+        estimates.sort(key=lambda e: e.time)
+    t0 = draw(st.sampled_from([0.0, 1000.3]))
+    echo_times = draw(st.lists(_times, max_size=60))
+    echo_out = [PacketRecord(timestamp=t0 + t, direction=DIR_OUT, proto=1,
+                             size=S1, icmp_type=8, ident=1, seq=seq)
+                for seq, t in enumerate(echo_times)]
+    # Replies answer a subset of the echoes; some carry sequence
+    # numbers that match no echo at all.
+    seqs = draw(st.lists(st.integers(min_value=0,
+                                     max_value=len(echo_times) + 10),
+                         unique=True))
+    replies = [PacketRecord(timestamp=t0 + draw(_times), direction=DIR_IN,
+                            proto=1, size=S1, icmp_type=0, ident=1, seq=seq)
+               for seq in seqs]
+    duration = draw(st.floats(min_value=0.0, max_value=25.0))
+    return estimates, echo_out, replies, t0, duration
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([0.5, 1.0, 5.0, 15.0]),
+       st.sampled_from([0.25, 1.0, 2.0]),
+       _window_inputs())
+def test_window_matches_scalar_oracle(width, step, inputs):
+    """Property: the bisect window gives the seed scalar's exact floats,
+    for sorted and unsorted estimates, edge ties and unmatched replies."""
+    distiller = Distiller(window_width=width, step=step)
+    got = distiller._window(*inputs)
+    want = _oracle_window(distiller, *inputs)
+
+    def bits(tuples):
+        return [struct.pack("<5d", t.d, t.F, t.Vb, t.Vr, t.L)
+                for t in tuples]
+
+    assert bits(got) == bits(want)
 
 
 # ----------------------------------------------------------------------
