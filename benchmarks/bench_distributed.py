@@ -13,9 +13,9 @@ the multi-node configuration against local workers on one machine:
   distributed is never a large regression on one box — it only
   unlocks more boxes.  The bytes the FETCH/HAVE plane moved are
   recorded with the fleet leg.
-* ``dispatch overhead`` — the work-stealing scheduler's bookkeeping
-  must stay **<= 2%** of sweep wall on every leg (the same gate
-  ``bench_runtime.py`` pins).
+* ``dispatch overhead`` — the scheduler's dispatch work (pickling
+  each job and queueing it) must stay **<= 2%** of sweep wall on
+  every leg (the same gate ``bench_runtime.py`` pins).
 * ``fleet equivalence`` — every leg renders the serial table byte for
   byte.
 
@@ -36,6 +36,7 @@ from typing import Dict, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from conftest import REPO_ROOT, host_stamp  # noqa: E402
 from repro.scenarios import ALL_SCENARIOS  # noqa: E402
 from repro.validation.harness import FtpRunner  # noqa: E402
 from repro.validation.parallel import (  # noqa: E402
@@ -43,7 +44,6 @@ from repro.validation.parallel import (  # noqa: E402
     run_validation,
 )
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_distributed.json")
 
 # The tentpole gates.
@@ -140,6 +140,7 @@ def main(argv=None) -> int:
     result: Dict[str, object] = {
         "benchmark": "distributed_sweep",
         "mode": "quick" if args.quick else "full",
+        "host": host_stamp(),
         "workload": {
             "scenarios": [cls.name for cls in ALL_SCENARIOS],
             "ftp_bytes": ftp_bytes,

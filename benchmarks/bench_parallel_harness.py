@@ -375,7 +375,7 @@ def bench_telemetry(ftp_bytes: int, trials: int, workers: int,
               f"on {best['on']:6.2f}s   ({len(tel.spans)} spans)")
 
     # Disabled-path per-call cost, micro-timed.  Capture must be off
-    # (it is: only _execute_chunk turns it on, in workers).
+    # (it is: only execute_wire_chunk_keys turns it on, in workers).
     assert not tmod.capture_active()
     calls = 2_000_000
     begin = tmod.span_begin

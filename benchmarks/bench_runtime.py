@@ -9,8 +9,8 @@ inline), ``workers`` (``--workers N`` local workers) and ``fleet``
 and the artifact-sync plane).
 
 * ``dispatch overhead`` — the wall time the scheduler spends inside
-  ``submit_jobs`` (chunking, fingerprint cache lookups, pickling,
-  backend hand-off; the ``executor.dispatch_ns`` counter) as a
+  ``submit_jobs`` dispatching jobs (pickling each job and handing it
+  to the backend's queue; the ``executor.dispatch_ns`` counter) as a
   fraction of a full validation sweep's wall clock.  **Gate: <= 2%.**
   This is the number that must not regress now that validate, check,
   golden and fuzz all route through one generic scheduler instead of
@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from conftest import REPO_ROOT, host_stamp  # noqa: E402
 from repro.runtime import Job, Scheduler, runner_ref  # noqa: E402
 from repro.runtime.job import echo  # noqa: E402
 from repro.scenarios import ALL_SCENARIOS  # noqa: E402
@@ -53,7 +54,6 @@ from repro.validation.parallel import (  # noqa: E402
     run_validation,
 )
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_runtime.json")
 
 # The tentpole gate: scheduler bookkeeping must stay a rounding error
@@ -198,6 +198,7 @@ def main(argv=None) -> int:
     result: Dict[str, object] = {
         "benchmark": "runtime_dispatch",
         "mode": "quick" if args.quick else "full",
+        "host": host_stamp(),
         "workload": {
             "scenarios": [cls.name for cls in ALL_SCENARIOS],
             "ftp_bytes": ftp_bytes,

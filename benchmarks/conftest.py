@@ -11,8 +11,11 @@ exactly like the paper's protocol.
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TRIALS = 4
 SEED = 0
@@ -36,3 +39,20 @@ def emit(name: str, text: str) -> None:
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def host_stamp() -> dict:
+    """The machine and commit a BENCH file's numbers come from: cores,
+    Python, platform, and the git SHA plus whether the tree had
+    uncommitted changes (both ``None`` outside a git checkout)."""
+    def git(*cmd):
+        return subprocess.run(["git", *cmd], cwd=REPO_ROOT, text=True,
+                              capture_output=True, timeout=30).stdout
+    try:
+        sha = git("rev-parse", "HEAD").strip() or None
+        dirty = bool(git("status", "--porcelain").strip()) if sha else None
+    except (OSError, subprocess.SubprocessError):
+        sha = dirty = None
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "platform": platform.platform(), "git_sha": sha,
+            "git_dirty": dirty}

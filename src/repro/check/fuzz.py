@@ -226,9 +226,8 @@ def _signature(violations: Sequence[InvariantViolation]):
 # ----------------------------------------------------------------------
 # The runtime job kind ("fuzz"): one generated spec through the full
 # invariant pipeline.  The short FUZZ_FTP_BYTES transfer keeps a spec
-# check cheaper than a full `check` job but still well above the
-# chunking threshold, so specs travel solo and expensive ones do not
-# serialize behind cheap ones.
+# check cheaper than a full `check` job, so checks start first when
+# both share a batch.
 # ----------------------------------------------------------------------
 FUZZ_COST_HINT = 150.0
 

@@ -92,8 +92,7 @@ def golden_table(name: str, seed: int = GOLDEN_SEED,
 # The runtime job kind ("golden")
 # ======================================================================
 # One golden artifact pair runs collect, distill, live and modulated
-# stages end to end — always above the chunking threshold, so each
-# scenario's regeneration travels solo.
+# stages end to end, so it starts ahead of cheaper jobs in a batch.
 GOLDEN_COST_HINT = 400.0
 
 

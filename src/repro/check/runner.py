@@ -248,8 +248,7 @@ def check_scenario(scenario, seed: int = 0, trial: int = 0,
 # The runtime job kind ("check")
 # ======================================================================
 # A check runs a full traversal, a distillation and two benchmark
-# trials — comfortably above the scheduler's chunking threshold, so
-# every check travels solo and scenarios balance across workers.
+# trials, so checks go to the workers ahead of cheaper jobs.
 CHECK_COST_HINT = 600.0
 
 

@@ -947,7 +947,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return COMMANDS[args.command](args)
     except KeyboardInterrupt:
-        # The scheduler has already cancelled outstanding chunks and
+        # The scheduler has already dropped the queued jobs and
         # torn the backend down (JobFuture.result intercepts the
         # interrupt); 130 is the conventional SIGINT exit status.
         print("repro: interrupted", file=sys.stderr)

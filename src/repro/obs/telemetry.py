@@ -13,7 +13,7 @@ makes that layer observable, end to end:
   ``encode``, ``store_write``, ``replay_resolve``, ``chunk``) using
   :func:`time.perf_counter_ns` for durations and :func:`time.time_ns`
   for cross-process placement.  Spans travel back to the parent as one
-  compact codec frame per chunk and merge into a
+  compact codec frame per job and merge into a
   :class:`SweepTelemetry` timeline.
 * **Chrome-trace timeline** — :meth:`SweepTelemetry.to_chrome_trace`
   renders the merged spans with **one process track per worker pid**

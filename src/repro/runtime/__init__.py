@@ -13,19 +13,21 @@ Layering (lowest first):
     result; runner references; the job-kind registry.
 ``backends``
     The error taxonomy, wire framing and protocol constants, and the
-    worker-side state and chunk executor.
+    worker-side state and job executor.
 ``sync`` / ``hosts``
     The multi-node substrate: FETCH/HAVE artifact-sync frames, and
     host inventory (``--hosts a:4,b:8`` / TOML) with the
     :class:`WorkerLauncher` bootstrap interface.
 ``remote``
-    :class:`RemoteBackend` — the worker processes (work-stealing
-    dispatch, token-authenticated connections, heartbeats,
-    re-dispatch, fingerprint-keyed artifact sync), as one local
-    pseudo-host for ``workers=N`` or the fleet ``hosts`` describes.
+    :class:`RemoteBackend` — the worker processes (the one FIFO
+    dispatch queue workers pull from, token-authenticated connections,
+    heartbeats, re-dispatch, fingerprint-keyed artifact sync), as one
+    local pseudo-host for ``workers=N`` or the fleet ``hosts``
+    describes.
 ``scheduler``
-    :class:`Scheduler` — work-stealing chunking, ordering, caching,
-    retry, rehydration, interrupt teardown.
+    :class:`Scheduler` — cache-first, longest-first submission of one
+    job per round trip, ordering, retry, rehydration, interrupt
+    teardown.
 ``session``
     :class:`RuntimeSession` — per-invocation wiring of pipeline,
     scheduler, progress and run ledger for the CLI.
@@ -60,7 +62,6 @@ from .job import (
 )
 from .remote import RemoteBackend
 from .scheduler import (
-    CHUNK_THRESHOLD,
     JobFuture,
     Scheduler,
     default_workers,
@@ -81,7 +82,6 @@ from .sync import (
 __all__ = [
     "BackendBroken",
     "BackendUnavailable",
-    "CHUNK_THRESHOLD",
     "ExecutionConfig",
     "HostSpec",
     "HostsError",

@@ -10,12 +10,12 @@ of its connections share:
   protocol version and the length of the authentication token a worker
   sends before anything else;
 * the worker-process state (:func:`worker_store`, the warm-up in
-  ``_worker_init``) and the chunk executor
-  :func:`execute_wire_chunk_keys`, which decodes a chunk frame,
-  resolves each job's runner by reference, executes, seals bulk
-  results into the worker's store, and ships back per-job
-  :class:`~repro.runtime.job.JobResult` frames plus the chunk's
-  telemetry spans and the store keys it sealed.
+  ``_worker_init``) and the job executor
+  :func:`execute_wire_chunk_keys`, which decodes a chunk frame (one
+  job), resolves the job's runner by reference, executes it, seals a
+  bulk result into the worker's store, and ships back the job's
+  :class:`~repro.runtime.job.JobResult` plus its telemetry spans and
+  the store key it sealed.
 """
 
 from __future__ import annotations
@@ -67,11 +67,10 @@ class BackendBroken(RuntimeError):
 # process by ``_worker_init``.
 _WORKER_STORE: Optional[ArtifactStore] = None
 
-# A worker runs gc.collect() between chunks instead of letting the
-# cyclic collector interrupt jobs; past this many chunk executions
-# without a sweep it collects unconditionally.
-_GC_CHUNKS_PER_SWEEP = 4
-_worker_chunks_since_gc = 0
+# A worker runs gc.collect() between jobs instead of letting the
+# cyclic collector interrupt them; it sweeps once every this many jobs.
+_GC_JOBS_PER_SWEEP = 4
+_worker_jobs_since_gc = 0
 
 
 def worker_store() -> Optional[ArtifactStore]:
@@ -84,20 +83,20 @@ def _worker_init(store_root: Optional[str]) -> None:
     """Warm one worker process: open its artifact store and resolve
     the scenario registry once, so individual jobs pay neither.
 
-    Also moves garbage collection to chunk boundaries: the warm-up heap
+    Also moves garbage collection to job boundaries: the warm-up heap
     (modules, scenario registry, codec tables) is frozen out of the
     collector's reach — it is effectively immortal in a worker, and
     scanning it on every generation-2 pass is the single largest fixed
     tax on job execution — and the automatic collector is disabled.
     Jobs allocate in bursts; :func:`execute_wire_chunk_keys` sweeps
-    cycles explicitly between chunks, where a pause costs nothing.
+    cycles explicitly between jobs, where a pause costs nothing.
 
     SIGINT is ignored: a Ctrl-C at the terminal belongs to the parent,
-    which cancels outstanding chunks and shuts the backend down
-    cleanly — workers must not die mid-chunk with tracebacks.
+    which drops the queued jobs and shuts the backend down cleanly —
+    workers must not die mid-job with tracebacks.
     """
-    global _WORKER_STORE, _worker_chunks_since_gc
-    _worker_chunks_since_gc = 0
+    global _WORKER_STORE, _worker_jobs_since_gc
+    _worker_jobs_since_gc = 0
     _WORKER_STORE = ArtifactStore(store_root) if store_root else None
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -147,26 +146,25 @@ def _seal(result: Any, key: str, kind: str) -> JobResult:
 
 def execute_wire_chunk_keys(wire: bytes,
                             telemetry_ctx: Optional[Tuple[str, int]] = None
-                            ) -> Tuple[bytes, List[str], int]:
-    """Run a chunk of jobs in one round-trip.
+                            ) -> Tuple[bytes, List[str]]:
+    """Run the one job of a chunk frame.
 
-    ``wire`` is a pickled list of ``(runner_ref, kind, label, payload,
-    key)`` tuples.  Returns ``(wire_out, sealed_keys, njobs)``:
-    ``wire_out`` is a pickled ``(results, spans_blob)`` pair — per-item
-    :class:`~repro.runtime.job.JobResult` frames aligned with the
-    input, plus the chunk's stage spans as one codec frame (or ``None``
-    when telemetry is off).  Pickling is done here so the parent can
-    count the exact bytes that crossed the process boundary.
-    ``sealed_keys`` names every store artifact this chunk parked in the
-    worker's store; the done frame carries it so the parent learns
-    which node holds each artifact — the index behind lazy ``FETCH`` —
-    without unpickling the reply payload.
+    ``wire`` is a pickled ``(runner_ref, kind, label, payload, key)``
+    tuple.  Returns ``(wire_out, sealed_keys)``: ``wire_out`` is a
+    pickled ``(result, spans_blob)`` pair — the job's
+    :class:`~repro.runtime.job.JobResult` plus its stage spans as one
+    codec frame (or ``None`` when telemetry is off).  Pickling is done
+    here so the parent can count the exact bytes that crossed the
+    process boundary.  ``sealed_keys`` names the store artifact the job
+    parked in the worker's store, if any; the done frame carries it so
+    the parent learns which node holds each artifact — the index behind
+    lazy ``FETCH`` — without unpickling the reply payload.
 
     ``telemetry_ctx`` is ``(sweep_id, submit_ns)``: its presence turns
-    span capture on for this chunk, and ``submit_ns`` (the parent's
-    wall clock at submission) yields the queue-wait span — clamped at
-    zero, since wall clocks across processes may disagree by more than
-    a short queue wait.
+    span capture on for this job, and ``submit_ns`` (the parent's wall
+    clock at submission) yields the queue-wait span — clamped at zero,
+    since wall clocks across processes may disagree by more than a
+    short queue wait.
     """
     chunk_tok = None
     if telemetry_ctx is not None:
@@ -175,39 +173,31 @@ def execute_wire_chunk_keys(wire: bytes,
         now = time.time_ns()
         record_point("queue", ts=submit_ns, dur=now - submit_ns)
         chunk_tok = span_begin()
-    items: List[Tuple[str, str, str, Any, str]] = pickle.loads(wire)
-    out: List[JobResult] = []
-    sealed: List[str] = []
-    for runner_ref, kind, label, payload, key in items:
-        tok = span_begin()
-        try:
-            runner = resolve_runner(runner_ref)
-            result = runner(payload)
-        except JobTransportError as exc:
-            span_end(tok, kind, label, failed=True)
-            out.append(JobResult.failed(str(exc)))
-            continue
+    runner_ref, kind, label, payload, key = pickle.loads(wire)
+    tok = span_begin()
+    try:
+        result = resolve_runner(runner_ref)(payload)
+    except JobTransportError as exc:
+        span_end(tok, kind, label, failed=True)
+        out = JobResult.failed(str(exc))
+    else:
         span_end(tok, kind, label)
-        if _WORKER_STORE is not None:
-            job_result = _seal(result, key, kind)
-            if job_result.envelope is not None:
-                sealed.append(job_result.envelope.key)
-            out.append(job_result)
-        else:
-            out.append(JobResult.of(result))
+        out = (_seal(result, key, kind) if _WORKER_STORE is not None
+               else JobResult.of(result))
+    sealed = [out.envelope.key] if out.envelope is not None else []
     spans_blob = None
     if telemetry_ctx is not None:
-        span_end(chunk_tok, "chunk", f"{len(items)} job(s)")
+        span_end(chunk_tok, "chunk", label)
         spans_blob = codec.encode(pack_spans(capture_end()))
     wire_out = pickle.dumps((out, spans_blob),
                             protocol=pickle.HIGHEST_PROTOCOL)
-    global _worker_chunks_since_gc
+    global _worker_jobs_since_gc
     if not gc.isenabled():
-        _worker_chunks_since_gc += 1
-        if _worker_chunks_since_gc >= _GC_CHUNKS_PER_SWEEP:
-            _worker_chunks_since_gc = 0
+        _worker_jobs_since_gc += 1
+        if _worker_jobs_since_gc >= _GC_JOBS_PER_SWEEP:
+            _worker_jobs_since_gc = 0
             gc.collect()
-    return wire_out, sealed, len(items)
+    return wire_out, sealed
 
 
 # ======================================================================
@@ -215,7 +205,7 @@ def execute_wire_chunk_keys(wire: bytes,
 # ======================================================================
 # Bumped whenever a frame's shape changes; the parent refuses a hello
 # from any other version.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # A worker's first bytes on every connection are the backend's
 # per-start token (handed to it on stdin), read and compared before the
@@ -227,9 +217,9 @@ _FRAME_HEADER = struct.Struct("<Q")
 # Largest frame body recv_frame accepts.  The peer's length word is
 # checked against it before any body byte is read, so a forged header
 # cannot make the receiver allocate its claimed size.  The largest frame
-# the distributed tests and ``bench_distributed.py --quick`` send is
-# about 28 KB (a chunk of trial jobs); 64 MiB leaves three orders of
-# magnitude for paper-size chunks and store artifacts.
+# ``bench_distributed.py --quick`` sends is about 21 KB (an artifact-sync
+# frame; a chunk frame carries one job and is smaller); 64 MiB leaves
+# three orders of magnitude for paper-size trials and store artifacts.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 

@@ -25,8 +25,8 @@ actually needs to know:
     "always execute".
 ``kind`` / ``label`` / ``cost_hint``
     Telemetry stage name, span label, and a rough relative wall-clock
-    cost (longest-first submission and chunking use it; it can never
-    affect results).
+    cost (longest-first submission uses it; it can never affect
+    results).
 
 :class:`JobResult` is the codec-framed unit a worker sends back per
 job: exactly one of a raw value (rode the reply frame), a
@@ -83,7 +83,7 @@ class Job:
     # Store keys the wire payload references (e.g. a modulated trial's
     # ``replay_ref``).  A ``--hosts`` fleet syncs these to a node's
     # private store — deduplicated with HAVE frames — before
-    # dispatching the chunk there; local workers, which share the
+    # dispatching the job there; local workers, which share the
     # parent's store, already have them.
     input_refs: tuple = ()
 

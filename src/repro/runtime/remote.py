@@ -18,18 +18,19 @@ first bytes on every connection are that token; the parent compares it
 with :func:`hmac.compare_digest` before it decodes anything else, and
 drops a connection that does not hold it.  Then the protocol of
 :mod:`repro.runtime.worker` runs: the parent sends ``("chunk", id,
-wire, telemetry_ctx)``, the worker streams ``("hb", id)`` heartbeats
-while executing and finishes with ``("done", id, ok, payload,
-sealed_keys, njobs)``.
+wire, telemetry_ctx)`` — a chunk is one job — the worker streams
+``("hb", id)`` heartbeats while executing and finishes with
+``("done", id, ok, payload, sealed_keys)``.
 
-Dispatch is **pull-based**: chunks go into one shared queue and each
-worker's dispatcher thread takes the next one as its worker frees up —
-no static assignment, so a slow node simply takes fewer chunks.  A
+Dispatch is **pull-based**: the scheduler puts every job into one
+shared FIFO queue — the only dispatch queue — and each worker's
+dispatcher thread takes the next one as its worker frees up.  There is
+no static assignment, so a slow node simply takes fewer jobs.  A
 connection that EOFs or goes silent past the heartbeat timeout marks
-that worker dead; its in-flight chunk is re-queued onto the survivors
-(chunks are pure functions of their wire bytes, so re-execution cannot
+that worker dead; its in-flight job is re-queued onto the survivors
+(jobs are pure functions of their wire bytes, so re-execution cannot
 change results) up to :data:`MAX_DISPATCH_ATTEMPTS`, after which — or
-when no workers survive — the chunk's future fails with
+when no workers survive — the job's future fails with
 :class:`~repro.runtime.backends.BackendBroken` and the scheduler
 re-executes in-process.  Either way the output is byte-identical;
 redispatches are surfaced in :meth:`RemoteBackend.stats`, never on
@@ -37,10 +38,10 @@ stdout.
 
 The artifact plane (private stores only): each node gets one extra
 *sync* connection serving the FETCH/HAVE/PUT frames of
-:mod:`repro.runtime.sync`.  Before a chunk is dispatched, its jobs'
+:mod:`repro.runtime.sync`.  Before a job is dispatched, its
 ``input_refs`` are synced to the target node (HAVE first, so a node
 that computed an artifact itself is never sent it again); after a
-chunk completes, the parent knows which node holds each sealed key and
+job completes, the parent knows which node holds each sealed key and
 :meth:`fetch_artifact` pulls a missing artifact on demand, writing it
 into the parent store so every key crosses the wire at most once no
 matter how many nodes hold it.
@@ -57,7 +58,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from queue import Empty, SimpleQueue
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -85,13 +86,14 @@ __all__ = [
     "RemoteBackend",
 ]
 
-# A chunk lost to a dead worker is re-queued at most this many times
+# A job lost to a dead worker is re-queued at most this many times
 # before its future fails over to in-process execution.
 MAX_DISPATCH_ATTEMPTS = 3
 
 
 class _Chunk:
-    """One submitted chunk riding the shared dispatch queue."""
+    """One submitted chunk (one job) riding the shared dispatch
+    queue."""
 
     __slots__ = ("chunk_id", "wire", "telemetry_ctx", "input_refs",
                  "future", "attempts")
@@ -196,7 +198,7 @@ class _Conn:
 
 
 class RemoteBackend:
-    """Work-stealing execution across a fleet of worker processes.
+    """Pull-based execution across a fleet of worker processes.
 
     ``hosts`` describes a fleet (see :mod:`repro.runtime.hosts`): each
     node gets a private store root and one sync connection, and
@@ -208,11 +210,12 @@ class RemoteBackend:
     has no directory; workers then return every result inline) and
     raises :class:`~repro.runtime.backends.BackendUnavailable` when the
     workers cannot be brought up.  ``submit_chunk`` takes the
-    scheduler's opaque chunk frame and returns a future resolving to
-    the worker's reply frame; a dead backend surfaces as
-    :class:`~repro.runtime.backends.BackendBroken`, from
+    scheduler's opaque frame of one job, queues it, and returns a
+    future resolving to the worker's reply frame; a dead backend
+    surfaces as :class:`~repro.runtime.backends.BackendBroken`, from
     ``submit_chunk`` or from the future.  ``shutdown(cancel=True)``
-    additionally drops chunks that have not started (the Ctrl-C path).
+    additionally cancels the futures of jobs that have not started
+    (the scheduler always shuts down this way).
     """
 
     name = "remote"
@@ -224,7 +227,7 @@ class RemoteBackend:
     # sent none after this long is dropped.
     AUTH_TIMEOUT_S = 10.0
     # No frame (heartbeat or reply) from a busy worker for this long
-    # means it is hung or dead: its chunk is re-dispatched.  Workers
+    # means it is hung or dead: its job is re-dispatched.  Workers
     # heartbeat every second while executing.
     HEARTBEAT_TIMEOUT_S = 30.0
 
@@ -479,7 +482,7 @@ class RemoteBackend:
             if item is None:
                 return
             if conn.dead:
-                # This worker died earlier; hand the chunk to a
+                # This worker died earlier; hand the job to a
                 # survivor's dispatcher instead of swallowing it.
                 self._requeue_or_fail(item, "worker already dead")
                 return
@@ -499,11 +502,11 @@ class RemoteBackend:
                 self._worker_lost(conn, item, f"fleet worker died: {exc}")
                 return
             conn.busy_chunk = None
-            ok, payload, keys, njobs = reply
+            ok, payload, keys = reply
             node = conn.node
             with node.lock:
                 node.chunks += 1
-                node.jobs += njobs
+                node.jobs += 1
                 node.busy_ns += time.perf_counter_ns() - t0
                 node.synced_keys.update(keys)
             for key in keys:
@@ -535,7 +538,7 @@ class RemoteBackend:
 
     def _worker_lost(self, conn: _Conn, chunk: Optional[_Chunk],
                      reason: str) -> None:
-        """A connection died or went silent: re-queue its chunk onto
+        """A connection died or went silent: re-queue its job onto
         the survivors, and if none remain fail everything pending."""
         with self._lock:
             conn.dead = True
@@ -569,7 +572,9 @@ class RemoteBackend:
 
         def _chain(f: Future) -> None:
             if f.cancelled():
-                original.cancel()
+                # The original is already running, so it cannot be
+                # cancelled; it fails the way a cancelled one reads.
+                original.set_exception(CancelledError())
             elif f.exception() is not None:
                 original.set_exception(f.exception())
             else:
@@ -583,7 +588,7 @@ class RemoteBackend:
         """Make every input artifact available in ``node``'s store.
         HAVE first (a node that computed an artifact is never re-sent
         it), then PUT only what is missing.  Returns False on a sync
-        transport failure — the chunk is then re-dispatched elsewhere
+        transport failure — the job is then re-dispatched elsewhere
         rather than executed against an incomplete store."""
         if not refs or node.sync is None:
             return True
@@ -656,7 +661,7 @@ class RemoteBackend:
 
     # -- introspection --------------------------------------------------
     def active_workers(self) -> List[Tuple[str, int]]:
-        """(node, pid) of every worker currently executing a chunk —
+        """(node, pid) of every worker currently executing a job —
         the chaos tests aim their SIGKILL with this."""
         return [(c.node.spec.name, c.pid) for c in self._conns
                 if not c.dead and c.busy_chunk is not None]

@@ -8,25 +8,24 @@ interleaved with trial code in ``validation/parallel.py``:
   store kept for the scheduler's lifetime) before they are submitted
   (a hit returns an already-resolved future without touching the
   backend), and computed results are stored as they land;
-* **work-stealing dispatch** — chunks are not assigned up front: a
-  cost-ordered heap holds pending work and a bounded number of chunks
-  is kept in flight; each completion pulls the next chunk off the
-  heap, with the chunk size re-derived from what is *left* (adaptive:
-  a draining sweep sends smaller chunks so the tail stays parallel).
-  Cheap jobs travel together in one backend round-trip, expensive ones
-  travel alone, longest first;
+* **one dispatch queue** — every job that missed the cache goes
+  straight into the backend's FIFO queue, one job per round trip,
+  longest ``cost_hint`` first (ties keep submission order); workers
+  pull the next job as they free up, so the tail balances job by job;
 * **ordering guarantees** — futures align index-for-index with the
   submitted batch, and results are read in submission order, never in
   completion order;
 * **retry on backend break** — a dead worker fleet drops the
   scheduler to in-process execution of the affected jobs (and every
   later submission) with the reason recorded, never a wrong result;
+  a job the backend dropped unrun at shutdown is recomputed in the
+  parent if anyone reads it;
 * **result rehydration** — envelopes coming back from workers are
   decoded from the memo store (or fetched from the node that sealed
   them) with digest verification, and any integrity problem falls
   back to recomputation;
 * **interrupt teardown** — a ``KeyboardInterrupt`` while gathering
-  results cancels outstanding chunks and shuts the backend down
+  results drops the jobs still queued and shuts the backend down
   cleanly before propagating (the CLI turns it into exit 130).
 
 The determinism contract is inherited from the jobs themselves: for
@@ -46,14 +45,12 @@ objects.
 
 from __future__ import annotations
 
-import heapq
-import math
 import os
 import pickle
 import shutil
 import tempfile
-import threading
 import time
+from concurrent.futures import CancelledError, Future
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -67,17 +64,11 @@ from .job import Job, JobResult, ResultEnvelope, resolve_runner
 from .remote import RemoteBackend
 
 __all__ = [
-    "CHUNK_THRESHOLD",
     "JobFuture",
     "Scheduler",
     "default_workers",
     "resolve_hosts",
 ]
-
-# Jobs whose cost hint is below this travel together in one chunked
-# backend submission; everything above it gets a worker to itself.
-# Affects scheduling only, never results.
-CHUNK_THRESHOLD = 100.0
 
 
 def default_workers() -> int:
@@ -131,72 +122,14 @@ def run_job_inline(job: Job) -> Any:
     return resolve_runner(job.runner)(job.payload)
 
 
-class _ChunkHandle:
-    """One in-flight chunk: the backend future plus a decode-once
-    cache, shared by every :class:`JobFuture` whose job rode in it."""
-
-    __slots__ = ("future", "_payload")
-
-    def __init__(self, future):
-        self.future = future
-        self._payload = None
-
-    def payload(self, scheduler: Optional["Scheduler"]) -> List[JobResult]:
-        if self._payload is None:
-            raw = self.future.result()
-            if scheduler is not None:
-                scheduler.metrics.counter(
-                    "executor.ipc_bytes_recv").inc(len(raw))
-            payloads, spans_blob = pickle.loads(raw)
-            if spans_blob is not None and scheduler is not None \
-                    and scheduler.telemetry is not None:
-                try:
-                    scheduler.telemetry.extend(
-                        unpack_spans(codec.decode(spans_blob)))
-                except codec.CodecError:
-                    pass  # telemetry loss must never fail a job
-            self._payload = payloads
-        return self._payload
-
-
-class _Slot:
-    """One pending job's place in the work-stealing dispatch.
-
-    A slot is created at submission time, *before* the job is assigned
-    to any chunk; the pump binds it to a :class:`_ChunkHandle` (plus
-    the job's index inside that chunk) when a worker actually pulls
-    the chunk — or marks it ``inline`` when the job must run in the
-    parent instead (unpicklable chunk, broken backend, cancel).  The
-    ``event`` is set exactly once, at binding, so a reader blocked in
-    :meth:`JobFuture.result` wakes the moment the job's fate is known.
-    """
-
-    __slots__ = ("job", "event", "handle", "chunk_index", "inline")
-
-    def __init__(self, job: Job):
-        self.job = job
-        self.event = threading.Event()
-        self.handle: Optional[_ChunkHandle] = None
-        self.chunk_index = 0
-        self.inline = False
-
-    def bind(self, handle: _ChunkHandle, chunk_index: int) -> None:
-        self.handle = handle
-        self.chunk_index = chunk_index
-        self.event.set()
-
-    def release_inline(self) -> None:
-        self.inline = True
-        self.event.set()
-
-
 class JobFuture:
     """Result handle for one submitted job.
 
     In serial mode the job runs lazily on the first ``result()`` call;
-    on the workers it indexes into its chunk's payload and, if the
-    backend broke, the chunk would not pickle, or an envelope cannot
-    be rehydrated, recomputes the job in-process (recording why on the
+    on the workers it decodes the job's reply frame from the backend
+    future and — if the backend broke, dropped the job unrun at
+    shutdown, the job would not pickle, or an envelope cannot be
+    rehydrated — recomputes the job in-process (recording why on the
     scheduler).  Either way ``result()`` returns exactly what
     ``runner(payload)`` returns, so the fallback paths cannot change
     any result.
@@ -207,36 +140,28 @@ class JobFuture:
     the caller can mutate it.  ``store_key``, when set, names the
     shared-store artifact holding this result (callers use it to pass
     bulk inputs to downstream jobs by reference).
-
-    Under work-stealing dispatch a future starts with a ``slot``
-    instead of a chunk handle; reading it waits for the pump to bind
-    the slot (workers pull chunks as they free up), then proceeds
-    exactly as before.
     """
 
     _UNSET = object()
 
-    def __init__(self, job: Job, future: Optional[_ChunkHandle] = None,
+    def __init__(self, job: Job, future: Optional[Future] = None,
                  scheduler: Optional["Scheduler"] = None,
                  value=_UNSET, pipeline: Optional[Pipeline] = None,
-                 chunk_index: int = 0, store_key: Optional[str] = None,
-                 slot: Optional[_Slot] = None):
+                 store_key: Optional[str] = None):
         self.job = job
         self._future = future
         self._scheduler = scheduler
         self._result = value
         self._pipeline = pipeline
-        self._chunk_index = chunk_index
         self.store_key = store_key
-        self._slot = slot
 
     def result(self):
         try:
             return self._resolve()
         except KeyboardInterrupt:
-            # Ctrl-C while gathering: cancel outstanding chunks and
-            # tear the backend down cleanly before propagating (the
-            # CLI maps this to exit 130).
+            # Ctrl-C while gathering: drop the queued jobs and tear the
+            # backend down cleanly before propagating (the CLI maps
+            # this to exit 130).
             if self._scheduler is not None:
                 self._scheduler.cancel()
             raise
@@ -244,50 +169,30 @@ class JobFuture:
     def _resolve(self):
         if self._result is not self._UNSET:
             return self._result
-        if self._slot is not None:
-            slot = self._slot
-            if not slot.event.is_set() and self._scheduler is not None:
-                # Make sure dispatch is progressing (a no-op when the
-                # in-flight window is already full), then wait for a
-                # worker to pull this job's chunk.
-                self._scheduler._pump()
-            slot.event.wait()
-            if slot.handle is not None:
-                self._future = slot.handle
-                self._chunk_index = slot.chunk_index
-            self._slot = None
+        # Only a cache hit has no scheduler, and it is born resolved.
+        sched = self._scheduler
         value = self._UNSET
         stored_remotely = False
-        if self._future is not None:
-            payload = None
-            try:
-                payload = self._future.payload(self._scheduler)
-            except (BackendBroken, pickle.PickleError, OSError) as exc:
-                if self._scheduler is not None:
-                    self._scheduler._mark_broken(exc)
-            if payload is not None:
-                item: JobResult = payload[self._chunk_index]
-                if item.failure is not None:
-                    if self._scheduler is not None:
-                        self._scheduler._note_fallback(
-                            f"worker transport: {item.failure.reason}")
-                elif item.envelope is not None:
-                    value = self._rehydrate(item.envelope)
-                    if value is not self._UNSET:
-                        self.store_key = item.envelope.key
-                        # The envelope is the stored result only if it
-                        # landed in this future's pipeline store (not if
-                        # a cache replaced the scratch store mid-run).
-                        stored_remotely = (
-                            self._pipeline is not None
-                            and item.envelope.key == self.job.fingerprint
-                            and self._pipeline.store
-                            is self._scheduler._ipc_store)
-                elif item.has_value:
-                    value = item.value
+        item = self._reply() if self._future is not None else None
+        if item is None:
+            pass
+        elif item.failure is not None:
+            sched._note_fallback(f"worker transport: {item.failure.reason}")
+        elif item.envelope is not None:
+            value = self._rehydrate(item.envelope)
+            if value is not self._UNSET:
+                self.store_key = item.envelope.key
+                # The envelope is the stored result only if it landed
+                # in this future's pipeline store (not if a cache
+                # replaced the scratch store mid-run).
+                stored_remotely = (
+                    self._pipeline is not None
+                    and item.envelope.key == self.job.fingerprint
+                    and self._pipeline.store is sched._ipc_store)
+        elif item.has_value:
+            value = item.value
         if value is self._UNSET:
-            sched = self._scheduler
-            telemetry = sched.telemetry if sched is not None else None
+            telemetry = sched.telemetry
             if telemetry is not None:
                 tok = telemetry.begin()
                 value = run_job_inline(self.job)
@@ -295,8 +200,7 @@ class JobFuture:
                               fallback=self._future is not None)
             else:
                 value = run_job_inline(self.job)
-            if self._future is None and sched is not None \
-                    and sched.progress is not None:
+            if self._future is None and sched.progress is not None:
                 sched.progress.completed()
         self._result = value
         if self._pipeline is not None:
@@ -309,6 +213,30 @@ class JobFuture:
                 self._pipeline.store_result(self.job.fingerprint, value,
                                             stage=self.job.kind)
         return self._result
+
+    def _reply(self) -> Optional[JobResult]:
+        """Decode the worker's reply frame: the job's
+        :class:`JobResult`, with the worker's stage spans merged into
+        the sweep timeline.  ``None`` when the backend did not run the
+        job: it broke, or shutdown dropped the job from its queue."""
+        sched = self._scheduler
+        try:
+            raw = self._future.result()
+            sched.metrics.counter("executor.ipc_bytes_recv").inc(len(raw))
+            item, spans_blob = pickle.loads(raw)
+        except CancelledError:
+            sched._note_fallback("cancelled: the backend shut down with "
+                                 "the job still queued")
+            return None
+        except (BackendBroken, pickle.PickleError, OSError) as exc:
+            sched._mark_broken(exc)
+            return None
+        if spans_blob is not None and sched.telemetry is not None:
+            try:
+                sched.telemetry.extend(unpack_spans(codec.decode(spans_blob)))
+            except codec.CodecError:
+                pass  # telemetry loss must never fail a job
+        return item
 
     def _rehydrate(self, env: ResultEnvelope):
         """Decode an envelope's artifact from the memo store; on any
@@ -383,8 +311,9 @@ class Scheduler:
     job's output, and cached values round-trip through the binary codec
     so callers get fresh copies.
 
-    Every degradation (broken backend, unpicklable job, unreadable
-    envelope) is counted in :attr:`metrics` and the first reason kept
+    Every degradation (broken backend, unpicklable job, job dropped
+    unrun at shutdown, unreadable envelope) is counted in
+    :attr:`metrics` and the first reason kept
     in :attr:`fallback_reason` — the scheduler never falls back
     silently.
     """
@@ -407,7 +336,7 @@ class Scheduler:
         self.fallback_reasons: List[str] = []
         self.pool_broken = False
         # Sweep-scope hooks: a SweepTelemetry makes workers ship stage
-        # spans back with each chunk; a SweepProgress gets completion
+        # spans back with each job; a SweepProgress gets completion
         # events.  Both None by default — the zero-cost path.
         self.telemetry: Optional[SweepTelemetry] = None
         self.progress: Optional[SweepProgress] = None
@@ -422,18 +351,6 @@ class Scheduler:
         self._scratch: Optional[Pipeline] = None
         self._ipc_store: Optional[ArtifactStore] = None
         self._seq = 0
-        # Work-stealing dispatch state: a cost-ordered heap of pending
-        # (job, slot) entries, pumped into the backend with a bounded
-        # in-flight window.  The pump lock serializes dispatch; the
-        # repump flag lets a contending thread hand its pump request to
-        # the current holder instead of blocking (completion callbacks
-        # run on backend threads and must never block here).
-        self._pending: List[Tuple[float, int, Job, _Slot]] = []
-        self._pump_lock = threading.Lock()
-        self._inflight_lock = threading.Lock()
-        self._repump = False
-        self._inflight = 0
-        self._heap_seq = 0
         self._backend_stats: Optional[Dict[str, Any]] = None
 
     # -- lifecycle ------------------------------------------------------
@@ -465,35 +382,21 @@ class Scheduler:
         return memo.collector()() if memo is not None else {}
 
     def cancel(self) -> None:
-        """Interrupt teardown: stop submitting, drop chunks that have
-        not started, and shut the backend down cleanly.  Jobs already
-        running in a worker finish (workers ignore SIGINT) but their
-        results are never read."""
+        """Interrupt teardown: stop submitting, drop the jobs still
+        queued, and shut the backend down cleanly.  Jobs already
+        running in a worker finish (workers ignore SIGINT); a dropped
+        job that is read anyway is recomputed in the parent."""
         self._serial_fallback = True
-        self._flush_pending_inline()
-        backend, self._backend = self._backend, None
-        if backend is not None:
-            self._capture_backend_stats(backend)
-            backend.shutdown(cancel=True)
+        self._close_backend()
 
     def _close_backend(self) -> None:
-        self._flush_pending_inline()
-        if self._backend is not None:
-            self._capture_backend_stats(self._backend)
-            self._backend.shutdown()
-            self._backend = None
-
-    def _capture_backend_stats(self, backend: RemoteBackend) -> None:
-        self._backend_stats = backend.stats()
-
-    def _flush_pending_inline(self) -> None:
-        """Release every not-yet-dispatched slot to the in-process
-        path, so no reader can block on a chunk that will never be
-        pulled."""
-        with self._pump_lock:
-            pending, self._pending = self._pending, []
-        for _cost, _seq, _job, slot in pending:
-            slot.release_inline()
+        # cancel=True: every pending job sits in the backend's queue,
+        # and a plain shutdown would run them all before its workers
+        # reached the stop sentinels.
+        backend, self._backend = self._backend, None
+        if backend is not None:
+            self._backend_stats = backend.stats()
+            backend.shutdown(cancel=True)
 
     def _mark_broken(self, exc: Optional[BaseException] = None) -> None:
         """Drop to serial for every later submission (backend died)."""
@@ -570,12 +473,12 @@ class Scheduler:
         return self.submit_jobs([job])[0]
 
     def submit_jobs(self, jobs: Sequence[Job]) -> List[JobFuture]:
-        """Submit a batch: cache lookups first, then longest jobs
-        first, with cheap jobs chunked.
+        """Submit a batch: cache lookups first, then every other job
+        onto the backend's queue, longest first.
 
-        Submission order and chunking affect only wall time (short
-        tasks fill the tail of the schedule); the returned futures
-        align index-for-index with ``jobs``.
+        Submission order affects only wall time (short jobs fill the
+        tail of the schedule); the returned futures align
+        index-for-index with ``jobs``.
         """
         return self._submit_jobs(list(jobs))
 
@@ -608,18 +511,15 @@ class Scheduler:
             for i, job, memo in pending:
                 futures[i] = JobFuture(job, scheduler=self, pipeline=memo)
             return futures
-        # Work-stealing dispatch: every pending job gets a slot on the
-        # cost-ordered heap; the pump decides chunk membership only
-        # when a worker is actually about to pull the chunk.
-        with self._pump_lock:
-            for i, job, memo in pending:
-                slot = _Slot(job)
-                futures[i] = JobFuture(job, scheduler=self, pipeline=memo,
-                                       slot=slot)
-                heapq.heappush(self._pending,
-                               (-job.cost_hint, self._heap_seq, job, slot))
-                self._heap_seq += 1
-        self._pump()
+        # The backend's queue is FIFO and workers pull from it as they
+        # free up, so this (stable) order is the order jobs start in.
+        pending.sort(key=lambda entry: -entry[1].cost_hint)
+        t0 = time.perf_counter_ns()
+        for i, job, memo in pending:
+            futures[i] = JobFuture(job, self._dispatch(job), scheduler=self,
+                                   pipeline=memo)
+        self.metrics.counter("executor.dispatch_ns").inc(
+            time.perf_counter_ns() - t0)
         return futures
 
     def map_jobs(self, jobs: Sequence[Job]) -> List:
@@ -631,147 +531,49 @@ class Scheduler:
         """
         return [f.result() for f in self.submit_jobs(list(jobs))]
 
-    # -- work-stealing pump ---------------------------------------------
-    def _chunksize(self, n_cheap: int) -> int:
-        """Chunk size tuned to what *remains*: enough chunks to keep
-        every worker busy twice over, capped so one chunk never
-        serializes a long tail.  Re-derived on every pull, so chunks
-        shrink as the sweep drains and the tail stays parallel."""
-        if n_cheap <= 0:
-            return 1
-        return max(1, min(8, math.ceil(n_cheap / (self.workers * 2))))
-
-    def _inflight_limit(self) -> int:
-        """How many chunks may be dispatched at once: the workers'
-        width plus a small buffer, so a worker finishing always finds
-        the next chunk staged but chunk composition is decided as late
-        as possible."""
-        return self.workers + max(2, self.workers // 2)
-
-    def _pump(self) -> None:
-        """Dispatch pending chunks up to the in-flight window.
-
-        Callable from any thread (completion callbacks run on backend
-        threads): the lock is taken non-blocking, and a contender hands
-        its request to the current holder via the repump flag instead
-        of waiting — the holder re-runs until no request is pending, so
-        no dispatch opportunity is ever lost and no backend thread ever
-        blocks here.
-        """
-        while True:
-            if not self._pump_lock.acquire(blocking=False):
-                self._repump = True
-                return
-            try:
-                self._repump = False
-                broken = self._dispatch_ready()
-            finally:
-                self._pump_lock.release()
-            if broken is not None:
-                self._mark_broken(broken)
-                return
-            if not self._repump:
-                return
-
-    def _dispatch_ready(self) -> Optional[BaseException]:
-        """Pull cost-ordered chunks off the heap and hand them to the
-        backend while the in-flight window has room.  Runs with the
-        pump lock held; returns the exception when the backend broke
-        (handled by the caller outside the lock)."""
-        if self._serial_fallback or self._backend is None:
-            self._release_heap_inline()
+    def _dispatch(self, job: Job) -> Optional[Future]:
+        """Frame one job and put it on the backend's queue.  ``None``
+        runs the job in the parent instead: it would not pickle (not
+        fatal), or the backend is gone or refused it (a refusal marks
+        the backend broken, so the rest of the batch stays inline)."""
+        backend = self._backend
+        if backend is None:
             return None
-        if not self._pending:
-            return None
-        t0 = time.perf_counter_ns()
-        broken: Optional[BaseException] = None
-        while self._pending and self._inflight < self._inflight_limit():
-            chunk = self._next_chunk()
-            broken = self._dispatch_chunk(chunk)
-            if broken is not None:
-                self._release_heap_inline()
-                break
-        self.metrics.counter("executor.dispatch_ns").inc(
-            time.perf_counter_ns() - t0)
-        return broken
-
-    def _release_heap_inline(self) -> None:
-        pending, self._pending = self._pending, []
-        for _cost, _seq, _job, slot in pending:
-            slot.release_inline()
-
-    def _next_chunk(self) -> List[Tuple[Job, _Slot]]:
-        """The next cost-ordered chunk: an expensive job travels alone;
-        a cheap one takes companions sized to the remaining heap."""
-        neg_cost, _seq, job, slot = heapq.heappop(self._pending)
-        chunk = [(job, slot)]
-        if -neg_cost >= CHUNK_THRESHOLD:
-            return chunk
-        size = self._chunksize(len(self._pending) + 1)
-        while len(chunk) < size and self._pending:
-            _c, _s, j, s = heapq.heappop(self._pending)
-            chunk.append((j, s))
-        return chunk
-
-    def _dispatch_chunk(self, chunk: List[Tuple[Job, _Slot]]
-                        ) -> Optional[BaseException]:
-        """Frame one chunk and submit it.  An unpicklable chunk falls
-        its slots to the inline path (not fatal); a backend submission
-        failure releases the slots and reports the exception so the
-        pump can mark the whole backend broken."""
         telemetry = self.telemetry
-        items: List[Tuple[str, str, str, Any, str]] = []
-        refs: List[str] = []
-        for job, _slot in chunk:
-            payload = job.for_wire()
-            # The store key a worker seals a bulk result under.
-            key = job.fingerprint
-            if key is None:
-                key = f"ipc:{self._seq:08d}"
-                self._seq += 1
-            refs.extend(r for r in job.input_refs if r)
-            if telemetry is not None:
-                payload = _stamp_sweep(payload, telemetry.sweep_id)
-            items.append((job.runner, job.kind, job.span_label(),
-                          payload, key))
+        payload = job.for_wire()
+        if telemetry is not None:
+            payload = _stamp_sweep(payload, telemetry.sweep_id)
+        # The store key a worker seals a bulk result under.
+        key = job.fingerprint
+        if key is None:
+            key = f"ipc:{self._seq:08d}"
+            self._seq += 1
         try:
-            blob = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps((job.runner, job.kind, job.span_label(),
+                                 payload, key),
+                                protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PickleError, TypeError, AttributeError) as exc:
             self._note_fallback(
                 f"spec not picklable: {type(exc).__name__}: {exc}")
-            for _job, slot in chunk:
-                slot.release_inline()
             return None
         telemetry_ctx = None
         if telemetry is not None:
             telemetry_ctx = (telemetry.sweep_id, time.time_ns())
-        backend = self._backend
+        refs = tuple(dict.fromkeys(r for r in job.input_refs if r))
         try:
-            future = backend.submit_chunk(blob, telemetry_ctx,
-                                          tuple(dict.fromkeys(refs)))
+            future = backend.submit_chunk(blob, telemetry_ctx, refs)
         except (BackendBroken, OSError) as exc:
-            for _job, slot in chunk:
-                slot.release_inline()
-            return exc
+            self._mark_broken(exc)
+            return None
         self.metrics.counter("executor.ipc_bytes_sent").inc(len(blob))
         self._transport_used = backend.name
-        handle = _ChunkHandle(future)
-        for ci, (_job, slot) in enumerate(chunk):
-            slot.bind(handle, ci)
-        with self._inflight_lock:
-            self._inflight += 1
-        count = len(chunk)
-        future.add_done_callback(lambda _f: self._on_chunk_done(count))
-        return None
+        future.add_done_callback(self._job_done)
+        return future
 
-    def _on_chunk_done(self, count: int) -> None:
-        """Completion callback (runs on a backend thread): free one
-        in-flight slot and pump the next chunk to the idle worker."""
-        with self._inflight_lock:
-            self._inflight -= 1
+    def _job_done(self, _future: Future) -> None:
+        """Done-callback (runs on a backend thread): report progress."""
         if self.progress is not None:
-            self.progress.completed(count)
-        self._pump()
+            self.progress.completed()
 
     def _make_backend(self) -> RemoteBackend:
         return RemoteBackend(self.hosts, workers=self.workers)

@@ -13,7 +13,7 @@ same workers).
 :func:`shared_pipeline` is the per-process pipeline memo used by
 worker-side job runners: a worker process opens one
 :class:`~repro.pipeline.Pipeline` per cache root and reuses it across
-every chunk it executes, mirroring how the parent holds one pipeline
+every job it executes, mirroring how the parent holds one pipeline
 per invocation.
 """
 

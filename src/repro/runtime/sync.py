@@ -8,11 +8,11 @@ node's workers seal artifacts into that node's *private*
 
 ``HAVE``
     Availability query: "which of these fingerprints do you hold?"
-    The parent asks before pushing a chunk's input artifacts to a node
+    The parent asks before pushing a job's input artifacts to a node
     (a node that computed a replay itself is never sent it again), and
     a node's reply is the subset of keys it holds.
 ``PUT``
-    Parent → node artifact push: the encoded blobs a dispatched chunk
+    Parent → node artifact push: the encoded blobs a dispatched job
     needs and the node reported missing.
 ``FETCH``
     Parent → node artifact pull: "send me these blobs" — issued

@@ -3,7 +3,7 @@
 Spawned by :class:`~repro.runtime.remote.RemoteBackend` (one process
 per worker slot, locally or over SSH), this entry point reads the
 backend's authentication token from stdin, dials the parent's listener
-back, sends the token, and then speaks protocol v3 (see
+back, sends the token, and then speaks protocol v4 (see
 :data:`~repro.runtime.backends.PROTOCOL_VERSION`).  The hello frame is
 ``{"pid", "proto", "node", "role"}``; what follows depends on the
 role:
@@ -13,11 +13,11 @@ role:
     :func:`~repro.runtime.backends._worker_init` opens the node's
     artifact store, warms the scenario registry, freezes the GC and
     ignores SIGINT; then each ``("chunk", id, wire, telemetry_ctx)``
-    frame runs through
+    frame — one job — runs through
     :func:`~repro.runtime.backends.execute_wire_chunk_keys` and is
-    answered with ``("done", id, ok, payload, sealed_keys, njobs)``.
-    While a chunk executes, a heartbeat thread sends ``("hb", id)``
-    about once a second so the parent can tell *slow* from *dead*.
+    answered with ``("done", id, ok, payload, sealed_keys)``.  While
+    the job executes, a heartbeat thread sends ``("hb", id)`` about
+    once a second so the parent can tell *slow* from *dead*.
 ``sync``
     The artifact plane.  One per node: serves the HAVE/PUT/FETCH
     frames of :mod:`repro.runtime.sync` against the node's store, and
@@ -26,13 +26,13 @@ role:
 Shutdown semantics (the part chaos recovery leans on): EOF on the
 socket is the parent's clean shutdown signal — exit 0.  SIGTERM means
 the *node* is being taken down: an idle worker exits immediately, a
-busy one finishes the chunk in hand, flushes its done frame, and only
+busy one finishes the job in hand, flushes its done frame, and only
 then exits — either way with status 143 (128+SIGTERM), so a killed
 node is distinguishable from a crashed job.  A job that raises is not
 a worker death at all: the reply carries ``ok=False`` with the
 traceback and the worker lives on.
 
-Runner code is resolved by reference inside the chunk executor, so
+Runner code is resolved by reference inside the job executor, so
 this module stays ignorant of what the jobs *are* — the property that
 lets the identical entry point run on a different machine.
 """
@@ -65,8 +65,8 @@ from .sync import (
 
 EXIT_SIGTERM = 143  # 128 + SIGTERM: "node taken down", not "job crashed"
 
-# While executing a chunk, heartbeat this often.  Far below the
-# parent's silence timeout, so a healthy-but-slow chunk never looks
+# While executing a job, heartbeat this often.  Far below the
+# parent's silence timeout, so a healthy-but-slow job never looks
 # like a dead worker.
 _HEARTBEAT_INTERVAL_S = 1.0
 
@@ -77,7 +77,7 @@ class _Terminated(Exception):
 
 class _TermState:
     """SIGTERM bookkeeping: raise immediately when idle, defer to the
-    end of the in-flight chunk (after its done frame is flushed) when
+    end of the in-flight job (after its done frame is flushed) when
     busy."""
 
     def __init__(self) -> None:
@@ -91,7 +91,7 @@ class _TermState:
 
 
 class _Heartbeat:
-    """Sends ``("hb", chunk_id)`` once a second while a chunk is in
+    """Sends ``("hb", chunk_id)`` once a second while a job is in
     flight.  Sharing the connection's send lock with the main loop
     keeps heartbeat and done frames from interleaving mid-frame."""
 
@@ -184,14 +184,14 @@ def serve(host: str, port: int, store_root: str | None, token: bytes,
             heartbeat.begin(chunk_id)
             try:
                 try:
-                    payload, keys, njobs = execute_wire_chunk_keys(
+                    payload, keys = execute_wire_chunk_keys(
                         wire, telemetry_ctx)
-                    reply = ("done", chunk_id, True, payload, keys, njobs)
+                    reply = ("done", chunk_id, True, payload, keys)
                 except _Terminated:  # pragma: no cover - tiny race
                     return EXIT_SIGTERM
                 except Exception:  # noqa: BLE001 - report, don't die
                     reply = ("done", chunk_id, False,
-                             traceback.format_exc(), [], 0)
+                             traceback.format_exc(), [])
                 heartbeat.end()
                 try:
                     with send_lock:

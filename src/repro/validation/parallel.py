@@ -10,7 +10,7 @@ embarrassingly parallel *and* guarantees that a parallel run is
 bit-identical to a serial one.
 
 This module is the *trial-specific glue* over :mod:`repro.runtime` —
-all scheduling, worker lifecycle, chunking, retry and rehydration
+all scheduling, worker lifecycle, retry and rehydration
 machinery lives there.  What stays here:
 
 * :class:`TrialSpec` — a picklable description of one trial (one
@@ -174,8 +174,8 @@ class TrialSpec:
         return ":".join(parts) if parts else str(self.trial)
 
     def cost_hint(self) -> float:
-        """Rough relative wall-clock cost, for longest-first submission
-        and chunking.
+        """Rough relative wall-clock cost, for longest-first
+        submission.
 
         Collection+distill trials simulate the scenario's full
         traversal with its cross traffic — seconds of wall clock.
@@ -200,7 +200,7 @@ class TrialSpec:
 
 class _ReplayResolveError(JobTransportError):
     """A ``replay_ref`` that the worker's store cannot supply.
-    A :class:`JobTransportError`, so the chunk executor converts it to
+    A :class:`JobTransportError`, so the job executor converts it to
     a transport failure and the parent re-executes with the
     materialized replay — a transport hiccup must never surface as a
     wrong result."""
@@ -373,8 +373,8 @@ class TrialExecutor(Scheduler):
 
     def submit_all(self, specs: Sequence[TrialSpec]) -> List[JobFuture]:
         """Submit a batch of trial specs: cache lookups first, then
-        longest trials first, with cheap trials chunked.  The returned
-        futures align index-for-index with ``specs``."""
+        longest trials first.  The returned futures align
+        index-for-index with ``specs``."""
         return self.submit_jobs([job_for_spec(spec) for spec in specs])
 
     def map(self, specs: Sequence[TrialSpec]) -> List:
@@ -646,13 +646,12 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
 
     The sweep is fully pipelined: every trial with no input dependency
     — all trace-collection traversals, all live trials, the Ethernet
-    baseline — is queued up front (longest first, cheap trials
-    chunked), and each scenario's modulated trials are queued the
-    moment its distillations resolve, carrying the distilled replay by
-    store reference when it came back through the store.  The
-    backend therefore never idles at a phase barrier; cheap scenarios'
-    modulated trials run while expensive collections are still in
-    flight.
+    baseline — is queued up front (longest first), and each scenario's
+    modulated trials are queued the moment its distillations resolve,
+    carrying the distilled replay by store reference when it came back
+    through the store.  The backend therefore never idles at a phase
+    barrier; cheap scenarios' modulated trials join the queue while
+    expensive collections are still in flight.
 
     The delay-compensation constant is measured once, in the parent,
     and shipped to every worker — exactly like the serial harness,

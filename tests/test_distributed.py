@@ -11,7 +11,9 @@ Five claims, tested end to end:
 2. **Chaos recovery** — SIGKILLing a busy fleet worker mid-sweep
    loses nothing: its chunk is re-dispatched onto survivors, the
    table stays byte-identical, and the recovery is visible in the
-   backend's transport stats (never on stdout).
+   backend's transport stats (never on stdout).  Cancelling a
+   re-dispatched job at shutdown still ends the future its reader
+   holds.
 3. **Handshake** — nothing a peer sends is unpickled before it has
    sent the backend's token; a peer that holds the token but sends a
    malformed hello degrades the sweep with a reason.
@@ -230,6 +232,26 @@ class TestChaosRecovery:
         assert backend_stats["workers_lost"] >= 1
         assert backend_stats["redispatches"] >= 1
         assert stats["serial_fallbacks"] == 0
+
+    def test_cancelled_redispatch_ends_the_original_future(self):
+        # A job re-queued after its worker died rides a fresh future
+        # chained to the one the scheduler holds, which is already
+        # running; cancelling the queued copy at shutdown must still
+        # end the original, or its reader would wait forever.
+        from concurrent.futures import CancelledError
+        from types import SimpleNamespace
+
+        from repro.runtime.remote import _Chunk
+
+        backend = RemoteBackend(workers=1)
+        backend._conns = [SimpleNamespace(dead=False)]
+        chunk = _Chunk(1, b"", None, ())
+        original = chunk.future
+        assert original.set_running_or_notify_cancel()
+        backend._requeue_or_fail(chunk, "worker died")
+        backend._drain_queue(lambda queued: queued.future.cancel())
+        with pytest.raises(CancelledError):
+            original.result(timeout=5.0)
 
 
 # ======================================================================

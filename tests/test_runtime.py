@@ -8,33 +8,43 @@ Three claims, tested end to end through the CLI:
    count.  This is the contract that makes ``--workers``/``--hosts``
    pure performance knobs (fleets of several pseudo-hosts are
    ``tests/test_distributed.py``).
-2. **Scheduler semantics** — results merge in submission order no
-   matter how chunks are reordered for dispatch, ``--workers`` starts
-   at most one worker more than there are cores, and a broken backend
-   degrades to in-process execution with correct results, never wrong
-   ones.
-3. **Teardown** — Ctrl-C cancels outstanding work and exits 130; run
-   ledgers record workers/backend/output-hash for ``check`` and
-   ``fuzz`` like they always have for ``validate``.
+2. **Scheduler semantics** — each job is its own round trip, a batch
+   starts longest first, results merge in submission order no matter
+   how jobs are reordered for dispatch, ``--workers`` starts at most
+   one worker more than there are cores, and a broken backend or a
+   cancelled job degrades to in-process execution with correct
+   results, never wrong ones.
+3. **Teardown** — Ctrl-C cancels outstanding work and exits 130;
+   shutdown drops queued jobs instead of running them; run ledgers
+   record workers/backend/output-hash for ``check`` and ``fuzz`` like
+   they always have for ``validate``.
 """
 
 import hashlib
 import json
 import re
+import time
 from concurrent.futures import Future
 
 import pytest
 
 from repro.cli import main
+from repro.obs.telemetry import SweepTelemetry
 from repro.runtime import Job, Scheduler, runner_ref
 from repro.runtime.job import echo
 
 _ECHO = runner_ref(echo)
+_SLEEP = runner_ref(time.sleep)
 
 
 def _echo_job(payload, cost_hint=0.1):
     return Job(kind="echo", runner=_ECHO, payload=payload,
                label=f"echo:{payload}", cost_hint=cost_hint)
+
+
+def _sleep_jobs(count, seconds):
+    return [Job(kind="sleep", runner=_SLEEP, payload=seconds,
+                label=f"sleep:{i}") for i in range(count)]
 
 
 def _sha(text: str) -> str:
@@ -136,8 +146,8 @@ class TestScheduler:
         assert Scheduler(hosts="local:4,local:4").effective_workers == 8
 
     def test_merge_order_is_submission_order(self):
-        # Dispatch reorders by cost (expensive first) and chunks the
-        # cheap tail; the merged results must ignore all of that.
+        # Dispatch reorders by cost (expensive first); the merged
+        # results must ignore that.
         exe = Scheduler(workers=2)
         costs = [0.1, 500.0, 1.0, 250.0, 0.1, 120.0]
         try:
@@ -192,6 +202,60 @@ class TestScheduler:
             assert exe._backend is None
         finally:
             exe.shutdown()
+
+    def test_each_job_is_its_own_round_trip(self):
+        exe = Scheduler(workers=2)
+        try:
+            assert exe.map_jobs([_echo_job(i) for i in range(8)]) \
+                == list(range(8))
+            (node,) = exe.transport_stats()["backend"]["nodes"]
+            assert node["chunks"] == node["jobs"] == 8
+        finally:
+            exe.shutdown()
+
+    def test_batch_runs_longest_first(self):
+        # One worker pulls the backend's FIFO queue in order, so the
+        # worker-side spans start in the order the batch was queued:
+        # descending cost hint, ties in submission order.
+        costs = [1.0, 50.0, 5.0, 50.0, 0.1, 5.0, 300.0, 1.0]
+        exe = Scheduler(hosts="local:1")
+        exe.telemetry = SweepTelemetry()
+        try:
+            jobs = [_echo_job(i, cost_hint=c) for i, c in enumerate(costs)]
+            assert exe.map_jobs(jobs) == list(range(len(costs)))
+            spans = sorted((s for s in exe.telemetry.spans
+                            if s["stage"] == "echo"
+                            and s["pid"] != exe.telemetry.parent_pid),
+                           key=lambda s: s["ts"])
+        finally:
+            exe.shutdown()
+        expected = sorted(range(len(costs)), key=lambda i: -costs[i])
+        assert [s["label"] for s in spans] == [f"echo:{i}"
+                                               for i in expected]
+
+    def test_cancelled_jobs_recompute_in_parent(self):
+        # cancel() drops the jobs still queued in the backend; reading
+        # one recomputes it here instead of raising CancelledError.
+        exe = Scheduler(workers=2)
+        try:
+            futures = exe.submit_jobs(_sleep_jobs(24, 0.2))
+            time.sleep(0.5)
+            exe.cancel()
+            assert [f.result() for f in futures] == [None] * 24
+            stats = exe.transport_stats()
+            assert stats["pool_broken"] is False
+            assert stats["serial_fallbacks"] >= 1
+            assert any(r.startswith("cancelled")
+                       for r in stats["fallback_reasons"])
+        finally:
+            exe.shutdown()
+
+    def test_shutdown_drops_queued_jobs(self):
+        exe = Scheduler(workers=2)
+        exe.submit_jobs(_sleep_jobs(200, 0.05))
+        t0 = time.perf_counter()
+        exe.shutdown()
+        assert time.perf_counter() - t0 < 1.0
 
 
 # ======================================================================
