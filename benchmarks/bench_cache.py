@@ -10,8 +10,10 @@ Times the same validation sweep three ways:
 * ``uncached`` — no cache at all, the pre-pipeline behaviour.
 
 Asserts the cache's whole contract: the warm rerun recomputes nothing,
-is at least ``MIN_SPEEDUP``x faster than the cold run, and all three
-sweeps render byte-identical tables.  Writes the measurements as JSON.
+is at least ``MIN_SPEEDUP``x faster than the cold run, decodes only
+the artifacts its table needs (the metrics, never a distilled
+traversal), and all three sweeps render byte-identical tables.  Writes
+the measurements as JSON.
 
 Usage::
 
@@ -30,6 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.pipeline import Pipeline  # noqa: E402
 from repro.scenarios import scenario_by_name  # noqa: E402
 from repro.validation import FtpRunner, run_validation  # noqa: E402
 
@@ -62,7 +65,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
         cold, cold_s = run_sweep(scenario, runner, trials, cache=root)
-        warm, warm_s = run_sweep(scenario, runner, trials, cache=root)
+        warm_cache = Pipeline(root)
+        warm, warm_s = run_sweep(scenario, runner, trials, cache=warm_cache)
         plain, plain_s = run_sweep(scenario, runner, trials)
 
     print(f"  cold:     {cold_s:6.2f}s  ({cold.cache_misses} computed)")
@@ -83,6 +87,11 @@ def main(argv=None) -> int:
     assert tables["cold"] == tables["warm"] == tables["uncached"], \
         "cache changed the rendered table"
     print("  tables byte-identical (cold == warm == uncached)")
+    # Counted after rendering: a hit is decoded when first read.
+    decoded = dict(sorted(warm_cache.decoded.items()))
+    print(f"  warm decoded: {sum(decoded.values())} artifact(s) {decoded}")
+    assert not decoded.get("distill"), \
+        f"warm rerun decoded {decoded['distill']} distillation(s)"
 
     out = Path(args.out) if args.out else \
         Path(__file__).resolve().parent / "output" / "BENCH_cache.json"
@@ -97,6 +106,7 @@ def main(argv=None) -> int:
         "warm_speedup": round(speedup, 2),
         "stages_cold": cold.cache_misses,
         "stages_warm_hits": warm.cache_hits,
+        "warm_decoded": decoded,
         "tables_identical": True,
     }, indent=1), encoding="utf-8")
     print(f"wrote {out}")

@@ -8,10 +8,11 @@ inline), ``workers`` (``--workers N`` local workers) and ``fleet``
 (``--hosts local:N/2,local:N/2``, two pseudo-hosts with private stores
 and the artifact-sync plane).
 
-* ``dispatch overhead`` — the wall time the scheduler spends inside
-  ``submit_jobs`` dispatching jobs (pickling each job and handing it
-  to the backend's queue; the ``executor.dispatch_ns`` counter) as a
-  fraction of a full validation sweep's wall clock.  **Gate: <= 2%.**
+* ``dispatch overhead`` — the CPU time the submitting thread spends
+  inside ``submit_jobs`` dispatching jobs (pickling each job and
+  handing it to the backend's queue; the ``executor.dispatch_ns``
+  counter) as a fraction of a full validation sweep's wall clock.
+  **Gate: <= 2%.**
   This is the number that must not regress now that validate, check,
   golden and fuzz all route through one generic scheduler instead of
   the old trial-specific pool loop.

@@ -7,12 +7,18 @@ the cache before shipping a trial to a worker), the check runner and
 the CLI — funnels through it, so a ``--cache-dir`` warm rerun
 recomputes exactly the stages whose fingerprints changed and loads
 everything else from disk.
+
+The parallel sweep splits a hit in two: :meth:`Pipeline.find` is one
+existence check at submission (the hit is recorded there), and
+:meth:`Pipeline.load` decodes the artifact when its result is first
+read, so a rerun decodes only what it renders.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -49,6 +55,8 @@ class Pipeline:
             store = ArtifactStore(store)
         self.store = store
         self.executions: List[StageExecution] = []
+        # Artifacts decoded from the store, per stage name.
+        self.decoded: Counter = Counter()
 
     # ------------------------------------------------------------------
     def run(self, stage: Stage, world_out: Optional[Dict] = None) -> Any:
@@ -61,7 +69,7 @@ class Pipeline:
         """
         fingerprint = stage.fingerprint()
         if world_out is None:
-            found, value = self.store.get(fingerprint)
+            found, value = self.load(fingerprint, stage.stage_name)
             if found:
                 self._record(stage.stage_name, fingerprint, HIT)
                 return value
@@ -79,9 +87,27 @@ class Pipeline:
     def lookup(self, fingerprint: str, stage: str = "") -> tuple:
         """(found, value); a hit is recorded, a miss records nothing
         (the eventual :meth:`store_result` logs the miss)."""
-        found, value = self.store.get(fingerprint)
+        found, value = self.load(fingerprint, stage)
         if found:
             self._record(stage, fingerprint, HIT)
+        return found, value
+
+    def find(self, fingerprint: str, stage: str = "") -> bool:
+        """Whether the store holds ``fingerprint``'s artifact: one
+        existence check, nothing read.  A found artifact is recorded as
+        a hit; :meth:`load` decodes it when it is needed."""
+        if self.store.contains(fingerprint):
+            self._record(stage, fingerprint, HIT)
+            return True
+        return False
+
+    def load(self, fingerprint: str, stage: str = "") -> tuple:
+        """(found, value): read and decode ``fingerprint``'s artifact.
+        One that no longer decodes is dropped and reads as not found;
+        recomputing it and :meth:`store_result` then log the miss."""
+        found, value = self.store.get(fingerprint)
+        if found:
+            self.decoded[stage] += 1
         return found, value
 
     def store_result(self, fingerprint: str, value: Any,

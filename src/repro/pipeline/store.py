@@ -12,6 +12,9 @@ Writes are atomic (temp file + rename) so a crashed run never leaves a
 truncated artifact behind; unreadable artifacts — including objects
 from the pickle-era store layout, which used a different extension and
 an incompatible stage keyspace — are treated as misses and dropped.
+:meth:`ArtifactStore.contains` only checks that an object exists, so
+an artifact found that way may still fail to decode when
+:meth:`ArtifactStore.get` reads it; it is dropped then.
 
 The raw-bytes surface (:meth:`ArtifactStore.put_encoded` /
 :meth:`ArtifactStore.raw_get`) lets the parallel sweep's envelope
@@ -55,12 +58,15 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def contains(self, fingerprint: str) -> bool:
+        """Whether an object is stored under ``fingerprint`` (nothing
+        is read or decoded)."""
         if self.root is None:
             return fingerprint in self._memory
         return self._object_path(fingerprint).exists()
 
     def get(self, fingerprint: str) -> Tuple[bool, Any]:
-        """(found, value).  Unreadable artifacts count as misses."""
+        """(found, value).  An unreadable artifact counts as a miss
+        and is dropped."""
         found, blob = self.raw_get(fingerprint)
         if not found:
             return _MISS

@@ -5,9 +5,10 @@ interleaved with trial code in ``validation/parallel.py``:
 
 * **cache-first submission** — fingerprinted jobs are looked up in a
   :class:`~repro.pipeline.Pipeline` (the caller's cache, else a scratch
-  store kept for the scheduler's lifetime) before they are submitted
-  (a hit returns an already-resolved future without touching the
-  backend), and computed results are stored as they land;
+  store kept for the scheduler's lifetime) before they are submitted;
+  a hit is one existence check and never touches the backend, its
+  artifact is decoded on the first ``result()``, and computed results
+  are stored as they land;
 * **one dispatch queue** — every job that missed the cache goes
   straight into the backend's FIFO queue, one job per round trip,
   longest ``cost_hint`` first (ties keep submission order); workers
@@ -50,10 +51,11 @@ import pickle
 import shutil
 import tempfile
 import time
+import weakref
 from concurrent.futures import CancelledError, Future
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import SweepProgress, SweepTelemetry, unpack_spans
@@ -134,26 +136,33 @@ class JobFuture:
     ``runner(payload)`` returns, so the fallback paths cannot change
     any result.
 
-    A future may instead be born *resolved* with a cached artifact
-    (``value=``), or carry a ``pipeline`` that accounts the computed
-    result under the job's fingerprint the moment it lands — before
-    the caller can mutate it.  ``store_key``, when set, names the
-    shared-store artifact holding this result (callers use it to pass
-    bulk inputs to downstream jobs by reference).
+    A *found* future is a hit: its artifact was found in ``pipeline``'s
+    store at submission and is decoded on the first ``result()``.  One
+    that no longer decodes is dropped and the job recomputed
+    in-process, after ``prepare`` (see :meth:`Scheduler.submit_jobs`)
+    completes its payload.  Any other future with a ``pipeline``
+    accounts the computed result under the job's fingerprint the
+    moment it lands — before the caller can mutate it; so does a found
+    one that was recomputed (a miss).  ``store_key``, when set, names
+    the shared-store artifact holding this result (callers use it to
+    pass bulk inputs to downstream jobs by reference).
     """
 
     _UNSET = object()
 
     def __init__(self, job: Job, future: Optional[Future] = None,
                  scheduler: Optional["Scheduler"] = None,
-                 value=_UNSET, pipeline: Optional[Pipeline] = None,
-                 store_key: Optional[str] = None):
+                 pipeline: Optional[Pipeline] = None,
+                 store_key: Optional[str] = None, found: bool = False,
+                 prepare: Optional[Callable[[Job], Job]] = None):
         self.job = job
         self._future = future
         self._scheduler = scheduler
-        self._result = value
+        self._result = self._UNSET
         self._pipeline = pipeline
         self.store_key = store_key
+        self._found = found
+        self._prepare = prepare
 
     def result(self):
         try:
@@ -169,10 +178,21 @@ class JobFuture:
     def _resolve(self):
         if self._result is not self._UNSET:
             return self._result
-        # Only a cache hit has no scheduler, and it is born resolved.
         sched = self._scheduler
         value = self._UNSET
         stored_remotely = False
+        recompute = self._future is not None
+        if self._found:
+            found, value = self._pipeline.load(self.job.fingerprint,
+                                               stage=self.job.kind)
+            if found:
+                self._result = value
+                return value
+            # Found at submission, but it no longer decodes (and was
+            # dropped): recompute it below, which logs the miss.
+            value, recompute = self._UNSET, True
+            if self._prepare is not None:
+                self.job = self._prepare(self.job)
         item = self._reply() if self._future is not None else None
         if item is None:
             pass
@@ -197,10 +217,10 @@ class JobFuture:
                 tok = telemetry.begin()
                 value = run_job_inline(self.job)
                 telemetry.end(tok, self.job.kind, self.job.span_label(),
-                              fallback=self._future is not None)
+                              fallback=recompute)
             else:
                 value = run_job_inline(self.job)
-            if self._future is None and sched.progress is not None:
+            if not recompute and sched.progress is not None:
                 sched.progress.completed()
         self._result = value
         if self._pipeline is not None:
@@ -305,7 +325,10 @@ class Scheduler:
     results are stored as they land — in ``pipeline`` (the caller's
     cache) when one is attached, else in a scratch store made on first
     use and removed by :meth:`shutdown` — so a job repeated on one
-    scheduler runs once.  Local workers open this same store, so their
+    scheduler runs once.  A hit is only found at submission; its
+    artifact is decoded when its future is first read (the scratch
+    store's hits still held are decoded before :meth:`shutdown`
+    removes it).  Local workers open this same store, so their
     envelope write is the stored result.  Caching cannot change
     results: artifacts are keyed by the same inputs that determine the
     job's output, and cached values round-trip through the binary codec
@@ -349,6 +372,9 @@ class Scheduler:
         # The pipeline over the scratch directory (see _memo), and the
         # store the running backend's workers write envelopes into.
         self._scratch: Optional[Pipeline] = None
+        # Hits found in the scratch store, held weakly (one nobody
+        # holds will never be read); shutdown decodes them first.
+        self._scratch_hits: "weakref.WeakSet[JobFuture]" = weakref.WeakSet()
         self._ipc_store: Optional[ArtifactStore] = None
         self._seq = 0
         self._backend_stats: Optional[Dict[str, Any]] = None
@@ -364,6 +390,10 @@ class Scheduler:
         self._close_backend()
         self._ipc_store = None
         if self._scratch is not None:
+            # Decode the scratch hits someone still holds while their
+            # artifacts exist, so they stay readable.
+            for future in list(self._scratch_hits):
+                future.result()
             shutil.rmtree(self._scratch.store.root, ignore_errors=True)
             self._scratch = None
 
@@ -472,17 +502,27 @@ class Scheduler:
         """Queue one job; its result is read with ``.result()``."""
         return self.submit_jobs([job])[0]
 
-    def submit_jobs(self, jobs: Sequence[Job]) -> List[JobFuture]:
+    def submit_jobs(self, jobs: Sequence[Job],
+                    prepare: Optional[Callable[[Job], Job]] = None
+                    ) -> List[JobFuture]:
         """Submit a batch: cache lookups first, then every other job
         onto the backend's queue, longest first.
+
+        ``prepare``, when given, completes a job that has to execute —
+        it missed the cache here, or its cached artifact turns out not
+        to decode when read — and returns the job to run in its place
+        (same fingerprint).  A batch can so leave out inputs that only
+        execution needs.
 
         Submission order affects only wall time (short jobs fill the
         tail of the schedule); the returned futures align
         index-for-index with ``jobs``.
         """
-        return self._submit_jobs(list(jobs))
+        return self._submit_jobs(list(jobs), prepare)
 
-    def _submit_jobs(self, jobs: List[Job]) -> List[JobFuture]:
+    def _submit_jobs(self, jobs: List[Job],
+                     prepare: Optional[Callable[[Job], Job]] = None
+                     ) -> List[JobFuture]:
         if self.progress is not None:
             self.progress.add_total(len(jobs))
         futures: List[Optional[JobFuture]] = [None] * len(jobs)
@@ -491,16 +531,22 @@ class Scheduler:
             memo = None
             if job.fingerprint is not None:
                 memo = self._memo()
-                found, value = memo.lookup(job.fingerprint, stage=job.kind)
-                if found:
+                if memo.find(job.fingerprint, stage=job.kind):
                     skey = (job.fingerprint
                             if memo.store.root is not None else None)
-                    futures[i] = JobFuture(job, value=value, store_key=skey)
+                    future = JobFuture(job, scheduler=self, pipeline=memo,
+                                       store_key=skey, found=True,
+                                       prepare=prepare)
+                    if memo is self._scratch:
+                        self._scratch_hits.add(future)
+                    futures[i] = future
                     if self.telemetry is not None:
                         self.telemetry.point("cache_hit", job.span_label())
                     if self.progress is not None:
                         self.progress.cache_hit()
                     continue
+            if prepare is not None:
+                job = prepare(job)
             pending.append((i, job, memo))
         if not pending:
             return futures
@@ -514,12 +560,15 @@ class Scheduler:
         # The backend's queue is FIFO and workers pull from it as they
         # free up, so this (stable) order is the order jobs start in.
         pending.sort(key=lambda entry: -entry[1].cost_hint)
-        t0 = time.perf_counter_ns()
+        # This thread's CPU time: the backend's dispatcher threads start
+        # sending as soon as a job is queued, and the time this thread
+        # waits for them to release the GIL is not dispatch work.
+        t0 = time.thread_time_ns()
         for i, job, memo in pending:
             futures[i] = JobFuture(job, self._dispatch(job), scheduler=self,
                                    pipeline=memo)
         self.metrics.counter("executor.dispatch_ns").inc(
-            time.perf_counter_ns() - t0)
+            time.thread_time_ns() - t0)
         return futures
 
     def map_jobs(self, jobs: Sequence[Job]) -> List:

@@ -18,6 +18,7 @@ and shared by every modulated run.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -458,14 +459,39 @@ class MetricComparison:
         return within_sigma_sum(self.real, self.modulated)
 
 
+class LazySequence(Sequence):
+    """A read-only sequence whose entries are loaded when read.
+
+    Built from zero-argument loaders that keep what they load (a job
+    future's ``result``), so each entry is loaded at most once however
+    often it is read, and never if it is not.
+    """
+
+    def __init__(self, loaders: Iterable[Callable[[], Any]]):
+        self._loaders = tuple(loaders)
+
+    def __len__(self) -> int:
+        return len(self._loaders)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [load() for load in self._loaders[index]]
+        return self._loaders[index]()
+
+
 @dataclass
 class ScenarioValidation:
-    """All metrics of one benchmark on one scenario."""
+    """All metrics of one benchmark on one scenario.
+
+    ``distillations`` is read-only; a sweep fills it with a
+    :class:`LazySequence` that decodes each distilled traversal on
+    first access.
+    """
 
     scenario: str
     benchmark: str
     comparisons: Dict[str, MetricComparison] = field(default_factory=dict)
-    distillations: List[DistillationResult] = field(default_factory=list)
+    distillations: Sequence[DistillationResult] = ()
 
     def comparison(self, metric: str) -> MetricComparison:
         return self.comparisons[metric]

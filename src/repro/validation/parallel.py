@@ -34,7 +34,10 @@ replay by store reference (``replay_ref``) whenever the distillation
 came back through the store — the spec's wire payload strips the
 materialized replay, and each worker memoizes decoded replays, so a
 distilled trace is shipped to each worker process at most once per
-sweep.
+sweep.  A modulated trial that hits the cache needs no replay at all:
+its distillation is read only when the trial has to execute, when the
+sweep collects metrics records, or when a caller reads
+:attr:`ScenarioValidation.distillations`.
 
 Determinism contract: for any ``workers`` value, any ``hosts`` and
 every fallback path, results are byte-identical to ``workers=1``
@@ -45,9 +48,10 @@ reassembled in submission order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.stats import Summary
 from ..core.distill import DistillationResult, Distiller
@@ -78,6 +82,7 @@ from ..runtime.scheduler import JobFuture, Scheduler, default_workers
 from ..scenarios.base import Scenario
 from .harness import (
     BenchmarkRunner,
+    LazySequence,
     MetricComparison,
     ScenarioValidation,
     collect_trace,
@@ -371,11 +376,19 @@ class TrialExecutor(Scheduler):
         """Queue one trial; its result is read with ``.result()``."""
         return self.submit_all([spec])[0]
 
-    def submit_all(self, specs: Sequence[TrialSpec]) -> List[JobFuture]:
+    def submit_all(self, specs: Sequence[TrialSpec],
+                   prepare: Optional[Callable[[TrialSpec], TrialSpec]] = None
+                   ) -> List[JobFuture]:
         """Submit a batch of trial specs: cache lookups first, then
         longest trials first.  The returned futures align
-        index-for-index with ``specs``."""
-        return self.submit_jobs([job_for_spec(spec) for spec in specs])
+        index-for-index with ``specs``.  ``prepare`` completes a spec
+        that has to execute (see :meth:`Scheduler.submit_jobs`)."""
+        complete = None
+        if prepare is not None:
+            def complete(job: Job) -> Job:
+                return job_for_spec(prepare(job.payload))
+        return self.submit_jobs([job_for_spec(spec) for spec in specs],
+                                prepare=complete)
 
     def map(self, specs: Sequence[TrialSpec]) -> List:
         """Execute all specs; results align index-for-index with specs."""
@@ -436,8 +449,23 @@ def _unwrap_distill(result) -> tuple:
     return result, None
 
 
+def _distillation(future: JobFuture) -> DistillationResult:
+    return _unwrap_distill(future.result())[0]
+
+
+def _with_replay(dist_futs: Sequence[JobFuture],
+                 run_index: Dict[Tuple[int, int], int],
+                 spec: TrialSpec) -> TrialSpec:
+    """A modulated spec completed with the replay its trial runs over,
+    read from its traversal's distillation, and that artifact's store
+    key."""
+    future = dist_futs[run_index[spec.seed, spec.trial]]
+    return replace(spec, replay=_distillation(future).replay,
+                   replay_ref=future.store_key)
+
+
 def _assemble_validation(scenario: Scenario, runner: BenchmarkRunner,
-                         distillations: List[DistillationResult],
+                         distillations: Sequence[DistillationResult],
                          real_by_variant: List[List[Dict[str, float]]],
                          mod_by_variant: List[List[Dict[str, float]]]
                          ) -> ScenarioValidation:
@@ -653,6 +681,13 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     barrier; cheap scenarios' modulated trials join the queue while
     expensive collections are still in flight.
 
+    A distillation is read only when something needs it: a modulated
+    trial of its traversal that has to execute, the metrics records of
+    a sweep with ``obs``, or a caller reading a
+    :attr:`ScenarioValidation.distillations` entry, which is decoded on
+    first access (and stays readable after the executor has shut
+    down).  A warm rerun therefore decodes no distilled trace.
+
     The delay-compensation constant is measured once, in the parent,
     and shipped to every worker — exactly like the serial harness,
     which measures it once per process.
@@ -741,28 +776,30 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
 
         # ---- queue modulated trials as distillations resolve ---------
         # Cheapest scenarios first: their modulated trials slot in
-        # behind the expensive collections still running.
+        # behind the expensive collections still running.  A modulated
+        # trial gets its replay only if it has to execute.
         resolve_order = sorted(
             range(n), key=lambda s: dist_futs[s][0].job.cost_hint)
-        dist_by_scenario: List[List[DistillationResult]] = [[] for _ in range(n)]
+        run_index = {run: r for r, run in enumerate(runs)}
         collect_records: List[List[Dict]] = [[] for _ in range(n)]
         mod_futs: List[List[JobFuture]] = [[] for _ in range(n)]
         for s in resolve_order:
-            for f in dist_futs[s]:
-                dist, record = _unwrap_distill(f.result())
-                dist_by_scenario[s].append(dist)
-                if record is not None:
-                    collect_records[s].append(record)
+            if obs is not None:
+                for f in dist_futs[s]:
+                    record = _unwrap_distill(f.result())[1]
+                    if record is not None:
+                        collect_records[s].append(record)
             mod_specs = [_fingerprinted(
                              TrialSpec(kind="modulated", seed=sd, trial=t,
-                                       runner=variant,
-                                       replay=dist_by_scenario[s][r].replay,
-                                       replay_ref=dist_futs[s][r].store_key,
-                                       compensation=comp, obs=obs),
+                                       runner=variant, compensation=comp,
+                                       obs=obs),
                              dist_stages[s][r])
                          for variant in variants
                          for r, (sd, t) in enumerate(runs)]
-            mod_futs[s] = exe.submit_all(mod_specs)
+            mod_futs[s] = exe.submit_all(
+                mod_specs,
+                prepare=functools.partial(_with_replay, dist_futs[s],
+                                          run_index))
 
         # ---- reassembly ---------------------------------------------
         # Metrics records are pulled out of the sinks here, in a fixed
@@ -795,7 +832,9 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
                 real_by_variant.append(real_runs)
                 mod_by_variant.append(mod_runs)
             sweep.validations.append(_assemble_validation(
-                scenario, runner, dist_by_scenario[s],
+                scenario, runner,
+                LazySequence(functools.partial(_distillation, f)
+                             for f in dist_futs[s]),
                 real_by_variant, mod_by_variant))
         if baseline:
             out: Dict[str, Summary] = {}

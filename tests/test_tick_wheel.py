@@ -1,9 +1,15 @@
-"""Tick-wheel scheduler edge cases and the batch-fire fast paths.
+"""Event-queue edge cases of the one-heap engine.
 
-These target the machinery the generic engine tests don't reach:
-same-tick batch firing, the wheel/overflow-heap boundary, cancellation
-and rescheduling *during* a batch sweep, ``call_batch``, and the
-occupancy statistics the observability layer surfaces.
+:mod:`repro.sim.engine` keeps every pending event in one binary heap
+ordered by ``(time, seq)``.  These tests cover what the generic engine
+tests don't reach: events due at the same instant fire in scheduling
+order, also when one of them cancels or schedules another at that
+instant; every entry point rejects a time in the past; an event
+scheduled beyond the near horizon (``WHEEL_SLOTS`` × ``WHEEL_TICK``,
+4.096 s) keeps its FIFO place against one scheduled later for the same
+time; ``call_batch``; and the occupancy statistics the observability
+layer surfaces (high-water mark and the near/far split, still named
+``wheel_pending``/``heap_pending``).
 """
 
 import pytest
@@ -17,11 +23,11 @@ def sim():
     return Simulator()
 
 
-FAR = WHEEL_SLOTS * WHEEL_TICK * 3  # comfortably past the wheel horizon
+FAR = WHEEL_SLOTS * WHEEL_TICK * 3  # comfortably past the near horizon
 
 
 # ----------------------------------------------------------------------
-# Batch firing within one tick
+# Events due at the same instant
 # ----------------------------------------------------------------------
 def test_same_tick_events_fire_fifo(sim):
     fired = []
@@ -32,8 +38,8 @@ def test_same_tick_events_fire_fifo(sim):
 
 
 def test_cancel_during_batch_fire(sim):
-    """An event cancelled by an earlier event in the same tick's bucket
-    must not fire, even though both were already swept into the batch."""
+    """An event cancelled by an earlier event due at the same instant
+    must not fire, although it was already due when the instant began."""
     fired = []
     box = {}
     sim.schedule(0.001, lambda: box["victim"].cancel())
@@ -45,8 +51,8 @@ def test_cancel_during_batch_fire(sim):
 
 
 def test_cancel_already_fired_same_tick_is_noop(sim):
-    """Cancelling an event that already fired earlier in the same
-    sweep is a harmless no-op."""
+    """Cancelling an event that already fired earlier at the same
+    instant is a harmless no-op."""
     fired = []
     first = sim.schedule(0.001, fired.append, "first")
     sim.schedule(0.001, lambda: first.cancel())
@@ -56,8 +62,9 @@ def test_cancel_already_fired_same_tick_is_noop(sim):
 
 
 def test_reschedule_into_currently_firing_tick(sim):
-    """An event scheduled *from inside* a bucket sweep at the same
-    timestamp joins the end of the current sweep (FIFO preserved)."""
+    """An event scheduled *while* an instant is firing, for that same
+    instant, fires after every event already due then (FIFO
+    preserved)."""
     fired = []
 
     def spawner():
@@ -130,17 +137,17 @@ def test_call_batch_partial_failure_keeps_valid_prefix(sim):
 
 
 # ----------------------------------------------------------------------
-# FIFO tie-break across the wheel/heap boundary
+# FIFO tie-break across the near horizon
 # ----------------------------------------------------------------------
 def test_fifo_across_wheel_heap_boundary(sim):
-    """Event A lands in the overflow heap (beyond the wheel horizon);
-    after time advances, event B is scheduled at the same timestamp but
-    now lands in the wheel.  A was scheduled first, so A fires first."""
+    """Event A is scheduled beyond the near horizon; after time
+    advances, event B is scheduled for the same timestamp, now within
+    it.  A was scheduled first, so A fires first."""
     fired = []
-    sim.schedule_at(FAR, fired.append, "heap-first")   # → overflow heap
+    sim.schedule_at(FAR, fired.append, "heap-first")   # far
     sim.schedule_at(FAR - 1.0, lambda: None)           # something to run to
     sim.run(until=FAR - 0.5)
-    sim.schedule_at(FAR, fired.append, "wheel-second")  # → wheel now
+    sim.schedule_at(FAR, fired.append, "wheel-second")  # near now
     sim.run()
     assert fired == ["heap-first", "wheel-second"]
 
@@ -202,7 +209,7 @@ def test_call_batch_updates_counters_and_hwm(sim):
 
 
 # ----------------------------------------------------------------------
-# Occupancy statistics (queue high-water mark, wheel/heap split)
+# Occupancy statistics (queue high-water mark, near/far split)
 # ----------------------------------------------------------------------
 def test_pending_hwm_tracks_peak_not_current(sim):
     for i in range(20):
@@ -214,9 +221,9 @@ def test_pending_hwm_tracks_peak_not_current(sim):
 
 
 def test_wheel_heap_split_reported(sim):
-    sim.schedule(0.010, lambda: None)      # wheel
-    sim.schedule(0.010, lambda: None)      # wheel, same tick
-    sim.schedule_at(FAR, lambda: None)     # heap
+    sim.schedule(0.010, lambda: None)      # near
+    sim.schedule(0.010, lambda: None)      # near, same instant
+    sim.schedule_at(FAR, lambda: None)     # far
     stats = sim.stats()
     assert stats.wheel_pending == 2
     assert stats.heap_pending == 1
