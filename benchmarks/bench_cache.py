@@ -1,19 +1,24 @@
 #!/usr/bin/env python
 """Benchmark the content-addressed artifact cache.
 
-Times the same validation sweep three ways:
+Times the same validation sweep four ways:
 
 * ``cold``     — ``run_validation`` with a fresh ``--cache-dir``:
   every stage computes and is stored;
 * ``warm``     — the identical sweep against the populated cache:
   every stage must load from the store (zero recomputes);
-* ``uncached`` — no cache at all, the pre-pipeline behaviour.
+* ``uncached`` — no cache at all, the pre-pipeline behaviour;
+* ``workers``  — ``cold`` again on two local workers, over a second
+  fresh cache.
 
 Asserts the cache's whole contract: the warm rerun recomputes nothing,
 is at least ``MIN_SPEEDUP``x faster than the cold run, decodes only
 the artifacts its table needs (the metrics, never a distilled
-traversal), and all three sweeps render byte-identical tables.  Writes
-the measurements as JSON.
+traversal), and all four sweeps render byte-identical tables.  The
+workers leg must run on the workers, and its parent must decode no
+distilled traversal either: the workers take each one from the store
+by reference.  Writes the measurements and both legs' decode counts
+as JSON.
 
 Usage::
 
@@ -39,10 +44,10 @@ from repro.validation import FtpRunner, run_validation  # noqa: E402
 MIN_SPEEDUP = 5.0
 
 
-def run_sweep(scenario, runner, trials, cache=None):
+def run_sweep(scenario, runner, trials, cache=None, workers=1):
     started = time.perf_counter()
     sweep = run_validation(scenario, runner, seed=0, trials=trials,
-                           workers=1, cache=cache)
+                           workers=workers, cache=cache)
     return sweep, time.perf_counter() - started
 
 
@@ -63,16 +68,22 @@ def main(argv=None) -> int:
     print(f"cache benchmark: {args.scenario}, ftp-send {nbytes} B, "
           f"{trials} trial(s)")
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root, \
+            tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root2:
         cold, cold_s = run_sweep(scenario, runner, trials, cache=root)
         warm_cache = Pipeline(root)
         warm, warm_s = run_sweep(scenario, runner, trials, cache=warm_cache)
         plain, plain_s = run_sweep(scenario, runner, trials)
+        workers_cache = Pipeline(root2)
+        pooled, pooled_s = run_sweep(scenario, runner, trials,
+                                     cache=workers_cache, workers=2)
 
     print(f"  cold:     {cold_s:6.2f}s  ({cold.cache_misses} computed)")
     print(f"  warm:     {warm_s:6.2f}s  ({warm.cache_hits} hits, "
           f"{warm.cache_misses} recomputed)")
     print(f"  uncached: {plain_s:6.2f}s")
+    print(f"  workers:  {pooled_s:6.2f}s  ({pooled.cache_misses} computed "
+          f"on {pooled.workers_used} workers)")
     speedup = cold_s / max(warm_s, 1e-9)
     print(f"  warm speedup: {speedup:.1f}x")
 
@@ -83,15 +94,28 @@ def main(argv=None) -> int:
         f"warm speedup {speedup:.1f}x below {MIN_SPEEDUP}x"
     tables = {label: sweep.render()
               for label, sweep in (("cold", cold), ("warm", warm),
-                                   ("uncached", plain))}
+                                   ("uncached", plain), ("workers", pooled))}
     assert tables["cold"] == tables["warm"] == tables["uncached"], \
         "cache changed the rendered table"
-    print("  tables byte-identical (cold == warm == uncached)")
-    # Counted after rendering: a hit is decoded when first read.
+    assert tables["workers"] == tables["cold"], \
+        "the workers leg rendered another table than the serial legs"
+    print("  tables byte-identical (cold == warm == uncached == workers)")
+    # Counted after rendering: a hit is decoded when first read, a
+    # worker's result when the parent rehydrates it.
     decoded = dict(sorted(warm_cache.decoded.items()))
     print(f"  warm decoded: {sum(decoded.values())} artifact(s) {decoded}")
     assert not decoded.get("distill"), \
         f"warm rerun decoded {decoded['distill']} distillation(s)"
+    pooled_decoded = dict(sorted(workers_cache.decoded.items()))
+    print(f"  workers decoded: {sum(pooled_decoded.values())} artifact(s) "
+          f"{pooled_decoded}")
+    # On a serial fallback the parent computes the distillations and
+    # the decode check below would pass without testing anything.
+    assert pooled.transport.get("transport") == "remote", \
+        f"the workers leg ran in-process: {pooled.fallback_reason}"
+    assert not pooled_decoded.get("distill"), \
+        f"the workers leg's parent decoded " \
+        f"{pooled_decoded['distill']} distillation(s)"
 
     out = Path(args.out) if args.out else \
         Path(__file__).resolve().parent / "output" / "BENCH_cache.json"
@@ -107,6 +131,8 @@ def main(argv=None) -> int:
         "stages_cold": cold.cache_misses,
         "stages_warm_hits": warm.cache_hits,
         "warm_decoded": decoded,
+        "workers_seconds": round(pooled_s, 4),
+        "workers_decoded": pooled_decoded,
         "tables_identical": True,
     }, indent=1), encoding="utf-8")
     print(f"wrote {out}")

@@ -17,7 +17,7 @@ Implements §3.1.2 faithfully:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 
 from ..hosts.host import Host
 from ..hosts.kernel import PseudoDevice
@@ -182,17 +182,31 @@ class PacketTracer:
 
 
 class CollectionDaemon:
-    """User-level daemon that drains the pseudo-device to a list/file."""
+    """User-level daemon that drains the pseudo-device to a list/file.
+
+    ``keep``, when given, is a predicate over drained records: the
+    daemon appends only the records it accepts (a consumer that reads
+    a few record kinds need not hold the rest).  Draining itself, and
+    so the kernel buffer's overrun accounting, does not change.
+    """
 
     def __init__(self, host: Host, device_name: str = "trace0",
-                 drain_period: float = 0.5, batch: int = 512):
+                 drain_period: float = 0.5, batch: int = 512,
+                 keep: Optional[Callable[[TraceRecord], bool]] = None):
         self.host = host
         self.device_name = device_name
         self.drain_period = drain_period
         self.batch = batch
+        self.keep = keep
         self.records: List[TraceRecord] = []
         self.drains = 0
         self._running = False
+
+    def _append(self, batch: List[TraceRecord]) -> None:
+        if self.keep is None:
+            self.records.extend(batch)
+        else:
+            self.records.extend(filter(self.keep, batch))
 
     def loop(self) -> Generator[Any, Any, None]:
         """Daemon process body; run with ``host.spawn(daemon.loop())``."""
@@ -204,11 +218,11 @@ class CollectionDaemon:
                 yield Timeout(self.drain_period)
                 # No local for the batch: the suspended frame would
                 # keep the last one alive with the world.
-                self.records.extend(device.read(self.batch))
+                self._append(device.read(self.batch))
                 self.drains += 1
         finally:
             # Final drain so records queued at shutdown are not lost.
-            self.records.extend(device.read(0))
+            self._append(device.read(0))
             device.close()
 
     def stop(self) -> None:
@@ -218,15 +232,19 @@ class CollectionDaemon:
 def trace_collection_run(host: Host, device: NetworkDevice,
                          buffer_capacity: int = 4096,
                          status_period: float = 1.0,
-                         drain_period: float = 0.5) -> CollectionDaemon:
+                         drain_period: float = 0.5,
+                         keep: Optional[Callable[[TraceRecord], bool]] = None
+                         ) -> CollectionDaemon:
     """Wire up tracer + daemon on ``host`` and start the daemon process.
 
-    Returns the daemon; its ``records`` list accumulates the trace.
+    Returns the daemon; its ``records`` list accumulates the trace —
+    every record, or with ``keep`` only those it accepts (see
+    :class:`CollectionDaemon`).
     """
     tracer = PacketTracer(host, device, buffer_capacity=buffer_capacity,
                           status_period=status_period)
     tracer.start_status_sampling()
     daemon = CollectionDaemon(host, tracer.pseudo_device.name,
-                              drain_period=drain_period)
+                              drain_period=drain_period, keep=keep)
     host.spawn(daemon.loop(), name="trace-daemon")
     return daemon

@@ -53,14 +53,15 @@ from .traceformat import (
     DeviceStatusRecord,
     PacketRecord,
     TraceRecord,
+    Weakrefable,
 )
 
 ICMP_ECHO = 8
 ICMP_ECHOREPLY = 0
 
 
-@dataclass
-class ParameterEstimate:
+@dataclass(slots=True)
+class ParameterEstimate(Weakrefable):
     """One instantaneous (F, Vb, Vr) estimate from a packet group."""
 
     time: float        # trace-relative time of the estimate
@@ -149,18 +150,29 @@ class Distiller:
             status_records=statuses,
         )
 
+    def reads(self, record: Union[TraceRecord, dict]) -> bool:
+        """Whether :meth:`distill` reads ``record``: an ICMP packet of
+        the ping workload (of ``ident``, when set) or a device-status
+        sample.  Collection can keep only these (see
+        :func:`repro.validation.harness.collect_trace`) and distill to
+        exactly what the full trace distills to."""
+        if isinstance(record, PacketRecord):
+            return record.icmp_type >= 0 and (self.ident is None
+                                              or record.ident == self.ident)
+        return isinstance(record, DeviceStatusRecord)
+
     # ------------------------------------------------------------------
     def _split(self, records: Sequence[Union[TraceRecord, dict]]
                ) -> Tuple[List[PacketRecord], List[DeviceStatusRecord]]:
         packets: List[PacketRecord] = []
         statuses: List[DeviceStatusRecord] = []
+        reads = self.reads
         for rec in records:
-            if isinstance(rec, PacketRecord) and rec.icmp_type >= 0:
-                if self.ident is not None and rec.ident != self.ident:
-                    continue
-                packets.append(rec)
-            elif isinstance(rec, DeviceStatusRecord):
-                statuses.append(rec)
+            if reads(rec):
+                if isinstance(rec, PacketRecord):
+                    packets.append(rec)
+                else:
+                    statuses.append(rec)
         return packets, statuses
 
     # ------------------------------------------------------------------

@@ -26,9 +26,11 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from .traceformat import Weakrefable
 
-@dataclass(frozen=True)
-class QualityTuple:
+
+@dataclass(frozen=True, slots=True)
+class QualityTuple(Weakrefable):
     """One interval of invariant network behaviour."""
 
     d: float    # duration (s)

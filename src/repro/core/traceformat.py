@@ -34,8 +34,21 @@ DIR_IN = 0
 DIR_OUT = 1
 
 
-@dataclass
-class PacketRecord:
+class Weakrefable:
+    """Base of a slotted dataclass whose instances take weak references.
+
+    ``dataclass(slots=True)`` leaves instances without a ``__weakref__``
+    slot, and ``weakref_slot=True`` puts it back only on Python 3.11 and
+    later; a slotted dataclass deriving from this class inherits the
+    slot on every supported Python.  The bulk records (trace records,
+    parameter estimates, quality tuples) are slotted this way.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class PacketRecord(Weakrefable):
     """One traced packet."""
 
     timestamp: float
@@ -55,8 +68,8 @@ class PacketRecord:
     RECORD_TYPE = "packet"
 
 
-@dataclass
-class DeviceStatusRecord:
+@dataclass(slots=True)
+class DeviceStatusRecord(Weakrefable):
     """Periodic wireless device characteristics (§3.1.1)."""
 
     timestamp: float

@@ -73,7 +73,9 @@ __all__ = [
     "render_profile_table",
     "engine_rollup",
     "fold_fleet",
+    "fold_peak_rss",
     "fold_records",
+    "peak_rss_mb",
     "sweep_registry",
     "sweep_ledger_record",
     "table_digest",
@@ -396,6 +398,25 @@ def engine_rollup(trial_metrics: Sequence[Dict[str, Any]]
     }
 
 
+def peak_rss_mb() -> Dict[str, Optional[float]]:
+    """Peak resident memory so far, in MB: this process's (``parent``)
+    and the largest of its reaped child processes' (``workers``, the
+    local workers of every backend shut down so far; ``None`` when
+    none was reaped) — ``getrusage`` ``RUSAGE_SELF`` and
+    ``RUSAGE_CHILDREN``.  Both are peaks over the process's life, not
+    over one sweep."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - not a Unix
+        return {"parent": None, "workers": None}
+    # ru_maxrss is in KiB on Linux, in bytes on macOS.
+    unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return {"parent": round(own / unit, 2),
+            "workers": round(kids / unit, 2) if kids else None}
+
+
 def sweep_ledger_record(sweep, *, command: str, scenario: str,
                         seed: int, trials: int, wall_s: float,
                         cpu_s: Optional[float] = None,
@@ -419,6 +440,7 @@ def sweep_ledger_record(sweep, *, command: str, scenario: str,
         "table_sha256": table_digest(table) if table else None,
         "engine": engine_rollup(sweep.trial_metrics),
         "telemetry": telemetry.summary() if telemetry is not None else None,
+        "peak_rss_mb": peak_rss_mb(),
     }
     if extra:
         record.update(extra)
@@ -608,6 +630,24 @@ def fold_records(registry: MetricsRegistry,
                        help="Fired events per wall second, all trials"
                        ).set(float(rollup["events_per_sec"]))
     fold_fleet(registry, records)
+    fold_peak_rss(registry, records)
+    return registry
+
+
+def fold_peak_rss(registry: MetricsRegistry,
+                  records: Sequence[Dict[str, Any]]) -> MetricsRegistry:
+    """Fold the run ledger's ``peak_rss_mb`` into two gauges,
+    ``peak_rss_mb.parent`` and ``peak_rss_mb.workers``: the largest
+    value any folded manifest recorded."""
+    peaks: Dict[str, float] = {}
+    for record in records:
+        for side, value in (record.get("peak_rss_mb") or {}).items():
+            if value is not None:
+                peaks[side] = max(peaks.get(side, 0.0), float(value))
+    for side, value in sorted(peaks.items()):
+        registry.gauge(f"peak_rss_mb.{side}",
+                       help="Largest peak resident memory recorded, MB"
+                       ).set(value)
     return registry
 
 

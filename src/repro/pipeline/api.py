@@ -55,7 +55,8 @@ class Pipeline:
             store = ArtifactStore(store)
         self.store = store
         self.executions: List[StageExecution] = []
-        # Artifacts decoded from the store, per stage name.
+        # Artifacts this process decoded, per stage name: hits read
+        # from the store and worker results rehydrated from it.
         self.decoded: Counter = Counter()
 
     # ------------------------------------------------------------------
@@ -101,11 +102,13 @@ class Pipeline:
             return True
         return False
 
-    def load(self, fingerprint: str, stage: str = "") -> tuple:
+    def load(self, fingerprint: str, stage: str = "",
+             digest: Optional[str] = None) -> tuple:
         """(found, value): read and decode ``fingerprint``'s artifact.
-        One that no longer decodes is dropped and reads as not found;
+        One that no longer decodes — or, with ``digest``, whose content
+        digest differs — is dropped and reads as not found;
         recomputing it and :meth:`store_result` then log the miss."""
-        found, value = self.store.get(fingerprint)
+        found, value = self.store.get(fingerprint, digest=digest)
         if found:
             self.decoded[stage] += 1
         return found, value

@@ -51,7 +51,7 @@ import hashlib
 import pickle
 import struct
 from itertools import starmap
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from ..analysis.stats import Summary
 from ..core.distill import DistillationResult, ParameterEstimate
@@ -68,6 +68,7 @@ __all__ = [
     "decode",
     "encode_gz",
     "decode_gz",
+    "decode_gz_checked",
     "content_digest",
 ]
 
@@ -403,3 +404,12 @@ def content_digest(blob: bytes) -> str:
     """SHA-256 hex digest of an encoded frame — the envelope integrity
     token for store-mediated result handoff."""
     return hashlib.sha256(blob).hexdigest()
+
+
+def decode_gz_checked(blob: bytes, digest: Optional[str] = None) -> Any:
+    """:func:`decode_gz`, once ``blob`` is checked against ``digest``
+    (its :func:`content_digest`), when one is given: a frame handed
+    over by reference is decoded only if it is the one named."""
+    if digest is not None and content_digest(blob) != digest:
+        raise CodecError("content digest mismatch")
+    return decode_gz(blob)

@@ -45,16 +45,26 @@ class ArtifactStore:
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else None
         self._memory: Dict[str, bytes] = {}
+        # Object paths are built as strings from this prefix: a lookup
+        # runs on every trial of a sweep, and joining Path objects
+        # costs several times the existence check itself.
+        self._objects = ""
         if self.root is not None:
             (self.root / "objects").mkdir(parents=True, exist_ok=True)
+            self._objects = os.path.join(str(self.root), "objects") + os.sep
 
     # ------------------------------------------------------------------
+    def _object_file(self, fingerprint: str) -> str:
+        return f"{self._objects}{fingerprint[:2]}{os.sep}{fingerprint}.rba"
+
+    def _meta_file(self, fingerprint: str) -> str:
+        return f"{self._objects}{fingerprint[:2]}{os.sep}{fingerprint}.json"
+
     def _object_path(self, fingerprint: str) -> Path:
-        return (self.root / "objects" / fingerprint[:2]
-                / f"{fingerprint}.rba")
+        return Path(self._object_file(fingerprint))
 
     def _meta_path(self, fingerprint: str) -> Path:
-        return self._object_path(fingerprint).with_suffix(".json")
+        return Path(self._meta_file(fingerprint))
 
     # ------------------------------------------------------------------
     def contains(self, fingerprint: str) -> bool:
@@ -62,16 +72,18 @@ class ArtifactStore:
         is read or decoded)."""
         if self.root is None:
             return fingerprint in self._memory
-        return self._object_path(fingerprint).exists()
+        return os.path.exists(self._object_file(fingerprint))
 
-    def get(self, fingerprint: str) -> Tuple[bool, Any]:
+    def get(self, fingerprint: str,
+            digest: Optional[str] = None) -> Tuple[bool, Any]:
         """(found, value).  An unreadable artifact counts as a miss
-        and is dropped."""
+        and is dropped; so does one whose content digest differs from
+        ``digest``, when given."""
         found, blob = self.raw_get(fingerprint)
         if not found:
             return _MISS
         try:
-            return True, codec.decode_gz(blob)
+            return True, codec.decode_gz_checked(blob, digest)
         except codec.CodecError:
             # Corrupt or stale artifact: drop it and recompute.
             self.delete(fingerprint)
@@ -86,7 +98,8 @@ class ArtifactStore:
                 return _RAW_MISS
             return True, blob
         try:
-            return True, self._object_path(fingerprint).read_bytes()
+            with open(self._object_file(fingerprint), "rb") as f:
+                return True, f.read()
         except FileNotFoundError:
             return _RAW_MISS
         except OSError:
@@ -104,15 +117,15 @@ class ArtifactStore:
         if self.root is None:
             self._memory[fingerprint] = blob
             return len(blob)
-        path = self._object_path(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._object_file(fingerprint)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         self._atomic_write(path, blob)
         if meta is not None:
             doc = dict(meta)
             doc["fingerprint"] = fingerprint
             doc["bytes"] = len(blob)
             doc["codec"] = codec.VERSION
-            self._atomic_write(self._meta_path(fingerprint),
+            self._atomic_write(self._meta_file(fingerprint),
                                json.dumps(doc, indent=1).encode("utf-8"))
         return len(blob)
 
@@ -120,10 +133,10 @@ class ArtifactStore:
         if self.root is None:
             self._memory.pop(fingerprint, None)
             return
-        for path in (self._object_path(fingerprint),
-                     self._meta_path(fingerprint)):
+        for path in (self._object_file(fingerprint),
+                     self._meta_file(fingerprint)):
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
 
@@ -147,9 +160,9 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _atomic_write(path: Path, blob: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=path.name + ".")
+    def _atomic_write(path: str, blob: bytes) -> None:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                   prefix=os.path.basename(path) + ".")
         try:
             with io.FileIO(fd, "wb") as f:
                 f.write(blob)

@@ -9,6 +9,10 @@ interleaved with trial code in ``validation/parallel.py``:
   a hit is one existence check and never touches the backend, its
   artifact is decoded on the first ``result()``, and computed results
   are stored as they land;
+* **results by reference** — :meth:`JobFuture.artifact` names the
+  encoded artifact holding a hit or a worker's result (store key and
+  content digest) without decoding it, so a downstream job can take it
+  from the store; whoever decodes it first checks the digest;
 * **one dispatch queue** — every job that missed the cache goes
   straight into the backend's FIFO queue, one job per round trip,
   longest ``cost_hint`` first (ties keep submission order); workers
@@ -143,26 +147,35 @@ class JobFuture:
     completes its payload.  Any other future with a ``pipeline``
     accounts the computed result under the job's fingerprint the
     moment it lands — before the caller can mutate it; so does a found
-    one that was recomputed (a miss).  ``store_key``, when set, names
-    the shared-store artifact holding this result (callers use it to
-    pass bulk inputs to downstream jobs by reference).
+    one that was recomputed (a miss).  A worker's envelope is
+    accounted when its reply is read, decoded or not.
+    :meth:`artifact` hands the stored result to downstream jobs by
+    reference.
     """
 
     _UNSET = object()
 
     def __init__(self, job: Job, future: Optional[Future] = None,
                  scheduler: Optional["Scheduler"] = None,
-                 pipeline: Optional[Pipeline] = None,
-                 store_key: Optional[str] = None, found: bool = False,
+                 pipeline: Optional[Pipeline] = None, found: bool = False,
                  prepare: Optional[Callable[[Job], Job]] = None):
         self.job = job
         self._future = future
         self._scheduler = scheduler
         self._result = self._UNSET
         self._pipeline = pipeline
-        self.store_key = store_key
         self._found = found
         self._prepare = prepare
+        # The worker's reply, read once (see _take_reply).
+        self._item: Any = self._UNSET
+        # Whether the pipeline already logged this job's miss (a worker
+        # wrote the artifact into the pipeline's own store).
+        self._accounted = False
+        # Content digest of a hit's artifact, once handed out.
+        self._digest: Optional[str] = None
+        # The encoded artifact, kept in memory when the scratch store
+        # holding it is removed (see Scheduler.shutdown).
+        self._kept: Optional[bytes] = None
 
     def result(self):
         try:
@@ -175,43 +188,82 @@ class JobFuture:
                 self._scheduler.cancel()
             raise
 
+    def artifact(self) -> Optional[Tuple[str, str]]:
+        """``(store key, content digest)`` of the encoded artifact that
+        holds this result where the scheduler's workers read, without
+        decoding it — so a downstream job can take the result by
+        reference.
+
+        A hit is hashed from the store.  A job a worker ran waits for
+        its reply and names the envelope the worker sealed; on a
+        ``--hosts`` fleet the bytes are fetched into the parent store
+        first, so they can be pushed to whichever node needs them.
+        ``None`` when no worker will read the result from the store
+        (jobs run in this process, the result rode the reply frame, or
+        it lives in a memory-only or removed store, or in a cache
+        attached after the workers started); the caller then reads
+        :meth:`result`.  Whoever decodes the artifact first checks it
+        against the digest.
+        """
+        sched = self._scheduler
+        if sched is None or sched._serial_fallback \
+                or self._kept is not None:
+            return None
+        ipc = sched._ipc_store
+        own = self._pipeline.store if self._pipeline is not None else None
+        if self._found:
+            # Workers read the store their backend started over: this
+            # pipeline's, if none has started yet.
+            if own is None or own.root is None \
+                    or (ipc is not None and ipc is not own):
+                return None
+            if self._digest is None:
+                found, blob = own.raw_get(self.job.fingerprint)
+                if not found:
+                    return None
+                self._digest = codec.content_digest(blob)
+            return self.job.fingerprint, self._digest
+        if self._future is None or ipc is None or ipc.root is None \
+                or (own is not None and own is not ipc):
+            return None
+        item = self._take_reply()
+        env = item.envelope if item is not None else None
+        if env is None:
+            return None
+        if not ipc.contains(env.key):
+            backend = sched._backend
+            if backend is None or backend.fetch_artifact(
+                    env.key, env.digest) is None:
+                return None
+        return env.key, env.digest
+
     def _resolve(self):
         if self._result is not self._UNSET:
             return self._result
         sched = self._scheduler
         value = self._UNSET
-        stored_remotely = False
         recompute = self._future is not None
         if self._found:
-            found, value = self._pipeline.load(self.job.fingerprint,
-                                               stage=self.job.kind)
-            if found:
+            value = self._load()
+            if value is not self._UNSET:
                 self._result = value
                 return value
             # Found at submission, but it no longer decodes (and was
             # dropped): recompute it below, which logs the miss.
-            value, recompute = self._UNSET, True
+            recompute = True
             if self._prepare is not None:
                 self.job = self._prepare(self.job)
-        item = self._reply() if self._future is not None else None
+        item = self._take_reply() if self._future is not None else None
         if item is None:
             pass
         elif item.failure is not None:
             sched._note_fallback(f"worker transport: {item.failure.reason}")
         elif item.envelope is not None:
             value = self._rehydrate(item.envelope)
-            if value is not self._UNSET:
-                self.store_key = item.envelope.key
-                # The envelope is the stored result only if it landed
-                # in this future's pipeline store (not if a cache
-                # replaced the scratch store mid-run).
-                stored_remotely = (
-                    self._pipeline is not None
-                    and item.envelope.key == self.job.fingerprint
-                    and self._pipeline.store is sched._ipc_store)
         elif item.has_value:
             value = item.value
-        if value is self._UNSET:
+        computed = value is self._UNSET
+        if computed:
             telemetry = sched.telemetry
             if telemetry is not None:
                 tok = telemetry.begin()
@@ -223,16 +275,80 @@ class JobFuture:
             if not recompute and sched.progress is not None:
                 sched.progress.completed()
         self._result = value
-        if self._pipeline is not None:
-            if stored_remotely:
-                # The worker already wrote the artifact into the
-                # pipeline's own store; just account for the miss.
-                self._pipeline.record_remote(self.job.fingerprint,
-                                             stage=self.job.kind)
-            else:
-                self._pipeline.store_result(self.job.fingerprint, value,
-                                            stage=self.job.kind)
+        pipeline = self._pipeline
+        if pipeline is not None:
+            if not self._accounted:
+                pipeline.store_result(self.job.fingerprint, value,
+                                      stage=self.job.kind)
+            elif computed:
+                # The worker's artifact did not read back; replace it
+                # (its miss is already logged).
+                pipeline.store.put(self.job.fingerprint, value,
+                                   meta={"stage": self.job.kind})
         return self._result
+
+    def _load(self):
+        """Decode a found artifact — the bytes kept past shutdown, else
+        the pipeline's copy — checked against its digest once one was
+        handed out; ``_UNSET`` when it no longer decodes."""
+        kept, self._kept = self._kept, None
+        if kept is None:
+            if self._pipeline is None:
+                return self._UNSET
+            found, value = self._pipeline.load(self.job.fingerprint,
+                                               stage=self.job.kind,
+                                               digest=self._digest)
+            return value if found else self._UNSET
+        try:
+            return codec.decode_gz_checked(kept, self._digest)
+        except codec.CodecError:
+            return self._UNSET
+
+    def _take_reply(self) -> Optional[JobResult]:
+        """The worker's reply, read once.  An envelope is accounted as
+        it arrives: the envelope counters, and — when the worker wrote
+        it into this future's pipeline store — the pipeline's miss."""
+        if self._item is self._UNSET:
+            self._item = item = self._reply()
+            env = item.envelope if item is not None else None
+            if env is not None:
+                sched = self._scheduler
+                metrics = sched.metrics
+                metrics.counter("executor.envelope_count").inc()
+                metrics.counter("executor.artifact_bytes").inc(env.nbytes)
+                metrics.counter("executor.encode_ns").inc(env.encode_ns)
+                pipeline = self._pipeline
+                if (pipeline is not None
+                        and env.key == self.job.fingerprint
+                        and pipeline.store is sched._ipc_store):
+                    pipeline.record_remote(self.job.fingerprint,
+                                           stage=self.job.kind)
+                    self._accounted = True
+        return self._item
+
+    def _detach(self, store: ArtifactStore, kept: Dict[str, bytes]) -> None:
+        """The scratch ``store`` holding this future's result is about
+        to be removed: keep the encoded artifact of a result not yet
+        decoded (one copy per key, shared through ``kept``) and store
+        nothing there again."""
+        self._pipeline = None
+        if self._result is not self._UNSET:
+            return
+        key = None
+        if self._found:
+            key = self.job.fingerprint
+        elif self._item is not self._UNSET and self._item is not None \
+                and self._item.envelope is not None:
+            key = self._item.envelope.key
+        if key is None:
+            return
+        blob = kept.get(key)
+        if blob is None:
+            found, blob = store.raw_get(key)
+            if not found:
+                return
+            kept[key] = blob
+        self._kept = blob
 
     def _reply(self) -> Optional[JobResult]:
         """Decode the worker's reply frame: the job's
@@ -259,8 +375,9 @@ class JobFuture:
         return item
 
     def _rehydrate(self, env: ResultEnvelope):
-        """Decode an envelope's artifact from the memo store; on any
-        integrity problem return ``_UNSET`` so the caller recomputes.
+        """Decode an envelope's artifact from the memo store (or the
+        bytes kept past shutdown); on any integrity problem return
+        ``_UNSET`` so the caller recomputes.
 
         On a ``--hosts`` fleet the parent store starts *empty* — the
         artifact was sealed into the executing node's private store —
@@ -268,31 +385,29 @@ class JobFuture:
         ``fetch_artifact`` (FETCH frames, parent-store dedup) before
         falling back to recomputation."""
         sched = self._scheduler
-        store = sched._ipc_store if sched is not None else None
-        if store is None:
-            return self._UNSET
         t0 = time.perf_counter_ns()
-        found, blob = store.raw_get(env.key)
-        backend = sched._backend
-        if not found and backend is not None:
-            fetched = backend.fetch_artifact(env.key, env.digest)
-            if fetched is not None:
-                found, blob = True, fetched
-        if not found or codec.content_digest(blob) != env.digest:
+        blob, self._kept = self._kept, None
+        if blob is None:
+            store = sched._ipc_store if sched is not None else None
+            if store is None:
+                return self._UNSET
+            found, blob = store.raw_get(env.key)
+            if not found and sched._backend is not None:
+                blob = sched._backend.fetch_artifact(env.key,
+                                                     env.digest) or b""
+        if not blob:
             sched._note_fallback(f"envelope {env.key[:12]}...: artifact "
-                                 f"missing or digest mismatch")
+                                 f"missing")
             return self._UNSET
         try:
-            value = codec.decode_gz(blob)
+            value = codec.decode_gz_checked(blob, env.digest)
         except codec.CodecError as exc:
             sched._note_fallback(f"envelope {env.key[:12]}...: {exc}")
             return self._UNSET
         elapsed = time.perf_counter_ns() - t0
-        metrics = sched.metrics
-        metrics.counter("executor.rehydrate_ns").inc(elapsed)
-        metrics.counter("executor.envelope_count").inc()
-        metrics.counter("executor.artifact_bytes").inc(env.nbytes)
-        metrics.counter("executor.encode_ns").inc(env.encode_ns)
+        sched.metrics.counter("executor.rehydrate_ns").inc(elapsed)
+        if self._pipeline is not None:
+            self._pipeline.decoded[self.job.kind] += 1
         if sched.telemetry is not None:
             sched.telemetry.point("rehydrate", self.job.span_label(),
                                   dur=elapsed, nbytes=env.nbytes)
@@ -326,10 +441,12 @@ class Scheduler:
     cache) when one is attached, else in a scratch store made on first
     use and removed by :meth:`shutdown` — so a job repeated on one
     scheduler runs once.  A hit is only found at submission; its
-    artifact is decoded when its future is first read (the scratch
-    store's hits still held are decoded before :meth:`shutdown`
-    removes it).  Local workers open this same store, so their
-    envelope write is the stored result.  Caching cannot change
+    artifact is decoded when its future is first read.  When
+    :meth:`shutdown` removes the scratch store, the futures still held
+    whose results are not decoded yet keep their encoded bytes instead
+    (one copy per artifact), and decode them when read.  Local workers
+    open this same store, so their envelope write is the stored
+    result.  Caching cannot change
     results: artifacts are keyed by the same inputs that determine the
     job's output, and cached values round-trip through the binary codec
     so callers get fresh copies.
@@ -372,9 +489,10 @@ class Scheduler:
         # The pipeline over the scratch directory (see _memo), and the
         # store the running backend's workers write envelopes into.
         self._scratch: Optional[Pipeline] = None
-        # Hits found in the scratch store, held weakly (one nobody
-        # holds will never be read); shutdown decodes them first.
-        self._scratch_hits: "weakref.WeakSet[JobFuture]" = weakref.WeakSet()
+        # Futures resolving through the scratch store, held weakly (one
+        # nobody holds will never be read); see shutdown.
+        self._scratch_futures: "weakref.WeakSet[JobFuture]" = \
+            weakref.WeakSet()
         self._ipc_store: Optional[ArtifactStore] = None
         self._seq = 0
         self._backend_stats: Optional[Dict[str, Any]] = None
@@ -387,14 +505,18 @@ class Scheduler:
         self.shutdown()
 
     def shutdown(self) -> None:
+        """Stop the backend and remove the scratch store.  A result in
+        it that someone still holds but has not decoded keeps its
+        encoded bytes, so it stays readable; nothing is stored there
+        again."""
         self._close_backend()
         self._ipc_store = None
         if self._scratch is not None:
-            # Decode the scratch hits someone still holds while their
-            # artifacts exist, so they stay readable.
-            for future in list(self._scratch_hits):
-                future.result()
-            shutil.rmtree(self._scratch.store.root, ignore_errors=True)
+            store = self._scratch.store
+            kept: Dict[str, bytes] = {}
+            for future in list(self._scratch_futures):
+                future._detach(store, kept)
+            shutil.rmtree(store.root, ignore_errors=True)
             self._scratch = None
 
     def _memo(self) -> Pipeline:
@@ -532,14 +654,9 @@ class Scheduler:
             if job.fingerprint is not None:
                 memo = self._memo()
                 if memo.find(job.fingerprint, stage=job.kind):
-                    skey = (job.fingerprint
-                            if memo.store.root is not None else None)
-                    future = JobFuture(job, scheduler=self, pipeline=memo,
-                                       store_key=skey, found=True,
-                                       prepare=prepare)
-                    if memo is self._scratch:
-                        self._scratch_hits.add(future)
-                    futures[i] = future
+                    futures[i] = self._track(JobFuture(
+                        job, scheduler=self, pipeline=memo, found=True,
+                        prepare=prepare))
                     if self.telemetry is not None:
                         self.telemetry.point("cache_hit", job.span_label())
                     if self.progress is not None:
@@ -555,7 +672,8 @@ class Scheduler:
             self.progress.set_workers(self.effective_workers)
         if backend is None:
             for i, job, memo in pending:
-                futures[i] = JobFuture(job, scheduler=self, pipeline=memo)
+                futures[i] = self._track(JobFuture(job, scheduler=self,
+                                                   pipeline=memo))
             return futures
         # The backend's queue is FIFO and workers pull from it as they
         # free up, so this (stable) order is the order jobs start in.
@@ -569,7 +687,15 @@ class Scheduler:
                                    pipeline=memo)
         self.metrics.counter("executor.dispatch_ns").inc(
             time.thread_time_ns() - t0)
+        for i, _job, _memo in pending:
+            self._track(futures[i])
         return futures
+
+    def _track(self, future: JobFuture) -> JobFuture:
+        if future._pipeline is not None \
+                and future._pipeline is self._scratch:
+            self._scratch_futures.add(future)
+        return future
 
     def map_jobs(self, jobs: Sequence[Job]) -> List:
         """Execute all jobs; results align index-for-index with jobs.

@@ -299,12 +299,20 @@ def collect_trace(scenario: Scenario, seed: int, trial: int,
                   duration: Optional[float] = None,
                   obs: Optional[ObsConfig] = None,
                   obs_out: Optional[Dict[str, Any]] = None,
-                  world_out: Optional[Dict[str, Any]] = None) -> List:
+                  world_out: Optional[Dict[str, Any]] = None,
+                  keep: Optional[Callable[[Any], bool]] = None) -> List:
     """One trace-collection traversal; returns the trace records.
 
     With ``obs`` set and ``obs_out`` given, the traversal's metrics
     record is placed in ``obs_out["record"]``.  ``world_out`` exposes
     the finished world/obs pair for in-process invariant checking.
+
+    ``keep`` projects the trace as it is drained: only the records it
+    accepts are kept (by default, all of them).  With
+    :meth:`Distiller.reads <repro.core.distill.Distiller.reads>` the
+    traversal distills exactly as the full trace does, without holding
+    the cross-traffic frames distillation never reads.  The simulation
+    is the same either way.
 
     The caller takes the daemon's records list and the daemon is left
     an empty one: the finished world is a reference cycle that lives
@@ -319,7 +327,7 @@ def collect_trace(scenario: Scenario, seed: int, trial: int,
     setup_cross_traffic(world,
                         derive_seed(seed, f"cross-trace:{trial}"),
                         duration=MAX_SIM_TIME)
-    daemon = trace_collection_run(world.laptop, world.radio)
+    daemon = trace_collection_run(world.laptop, world.radio, keep=keep)
     ping = ModifiedPing(world.laptop, SERVER_ADDR)
     span = duration if duration is not None else scenario.duration
     proc = world.laptop.spawn(ping.run(span), name="ping")
@@ -464,7 +472,11 @@ class LazySequence(Sequence):
 
     Built from zero-argument loaders that keep what they load (a job
     future's ``result``), so each entry is loaded at most once however
-    often it is read, and never if it is not.
+    often it is read, and never if it is not.  A job future loads from
+    its store; after its executor has shut down, from the encoded
+    bytes it kept of a scratch-store result (see
+    :meth:`~repro.runtime.scheduler.Scheduler.shutdown`), or by
+    recomputing one whose bytes no longer decode.
     """
 
     def __init__(self, loaders: Iterable[Callable[[], Any]]):

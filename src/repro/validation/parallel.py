@@ -30,14 +30,17 @@ machinery lives there.  What stays here:
 
 Workers seal bulk results into the scheduler's store and hand back
 envelopes; see :mod:`repro.runtime`.  Modulated trials receive their
-replay by store reference (``replay_ref``) whenever the distillation
-came back through the store — the spec's wire payload strips the
-materialized replay, and each worker memoizes decoded replays, so a
-distilled trace is shipped to each worker process at most once per
-sweep.  A modulated trial that hits the cache needs no replay at all:
-its distillation is read only when the trial has to execute, when the
-sweep collects metrics records, or when a caller reads
-:attr:`ScenarioValidation.distillations`.
+replay by store reference (``replay_ref`` and its content digest)
+whenever the distillation is in the store workers read — a cache or
+memo hit, or a worker-sealed envelope — and the parent does not decode
+it: the worker does, checking the digest first, and memoizes decoded
+replays, so a distilled trace is decoded at most once per worker
+process.  The parent reads a distillation only when a modulated trial
+of it runs in this process (serially, or after a transport failure),
+when the sweep collects metrics records, or when a caller reads
+:attr:`ScenarioValidation.distillations`.  Distill trials collect
+through :meth:`Distiller.reads <repro.core.distill.Distiller.reads>`,
+so a worker holds only the trace records distillation reads.
 
 Determinism contract: for any ``workers`` value, any ``hosts`` and
 every fallback path, results are byte-identical to ``workers=1``
@@ -122,7 +125,8 @@ class TrialSpec:
         Collect one trace-collection traversal of ``scenario`` and
         distill it; returns a :class:`DistillationResult`.  (Collection
         and distillation stay in the worker so the bulky raw records
-        never cross the process boundary.)
+        never cross the process boundary; collection keeps only the
+        records the distiller reads.)
     ``"live"``
         One live benchmark trial; returns the metric dict.
     ``"modulated"``
@@ -140,12 +144,14 @@ class TrialSpec:
     ``{"__distill__": ..., "__obs__": ...}`` wrapper instead.
 
     ``replay_ref`` names the distill artifact holding this modulated
-    trial's replay in the scheduler's store.  The materialized
-    ``replay`` is stripped from the copy shipped to workers, which
-    resolve the reference (memoized per process); in-process execution
-    uses ``replay`` directly.  The two are always byte-equivalent — the
-    codec round-trip is exact — so where a trial runs cannot change its
-    result.
+    trial's replay in the scheduler's store, and ``replay_digest`` its
+    content digest, which a worker checks before decoding it.  The
+    copy shipped to workers carries only these; they resolve the
+    reference (memoized per process).  In-process execution uses
+    ``replay`` when set, else ``replay_loader`` — a zero-argument
+    callable reading the replay from its distillation, never shipped.
+    All are byte-equivalent — the codec round-trip is exact — so where
+    a trial runs cannot change its result.
     """
 
     kind: str
@@ -162,8 +168,13 @@ class TrialSpec:
     # sweeps (see spec_fingerprint); ``None`` means the trial is
     # uncacheable and always executes.
     fingerprint: Optional[str] = None
-    # Shared-store key of the upstream distill artifact (see above).
+    # Shared-store key of the upstream distill artifact and its content
+    # digest (see above).
     replay_ref: Optional[str] = None
+    replay_digest: Optional[str] = None
+    # Reads the replay in this process (see above).
+    replay_loader: Optional[Callable[[], ReplayTrace]] = field(
+        default=None, compare=False, repr=False)
     # Sweep-scoped trace context: set on the wire copy when the sweep
     # runs with telemetry, so worker-side stage spans carry the sweep
     # they belong to.  Never part of any fingerprint (fingerprints are
@@ -215,8 +226,10 @@ class _ReplayResolveError(JobTransportError):
 _WORKER_REPLAY_CACHE: Dict[str, ReplayTrace] = {}
 
 
-def _resolve_replay(ref: Optional[str]) -> ReplayTrace:
-    """The replay trace behind a ``replay_ref``, memoized per worker."""
+def _resolve_replay(ref: Optional[str],
+                    digest: Optional[str] = None) -> ReplayTrace:
+    """The replay trace behind a ``replay_ref``, memoized per worker;
+    with ``digest``, the artifact must match it to be decoded."""
     if ref is None:
         raise _ReplayResolveError(
             "modulated spec carries neither replay nor replay_ref")
@@ -232,7 +245,7 @@ def _resolve_replay(ref: Optional[str]) -> ReplayTrace:
         raise _ReplayResolveError(
             f"distill artifact {ref[:12]}... missing from the store")
     try:
-        value = codec.decode_gz(blob)
+        value = codec.decode_gz_checked(blob, digest)
     except codec.CodecError as exc:
         raise _ReplayResolveError(f"distill artifact {ref[:12]}...: {exc}")
     if isinstance(value, dict) and "__distill__" in value:
@@ -250,24 +263,25 @@ def execute_trial(spec: TrialSpec):
     execution agree bit-for-bit.
     """
     if spec.kind == "distill":
-        if spec.obs is not None:
-            obs_out: Dict[str, Dict] = {}
-            records = collect_trace(spec.scenario, spec.seed, spec.trial,
-                                    obs=spec.obs, obs_out=obs_out)
-            result = distill_scenario_trace(records, name=spec.name,
-                                            distiller=spec.distiller)
-            return {"__distill__": result,
-                    "__obs__": obs_out.get("record")}
-        records = collect_trace(spec.scenario, spec.seed, spec.trial)
-        return distill_scenario_trace(records, name=spec.name,
-                                      distiller=spec.distiller)
+        distiller = spec.distiller or Distiller()
+        obs_out: Dict[str, Dict] = {}
+        records = collect_trace(spec.scenario, spec.seed, spec.trial,
+                                obs=spec.obs, obs_out=obs_out,
+                                keep=distiller.reads)
+        result = distill_scenario_trace(records, name=spec.name,
+                                        distiller=distiller)
+        if spec.obs is None:
+            return result
+        return {"__distill__": result, "__obs__": obs_out.get("record")}
     if spec.kind == "live":
         return run_live_trial(spec.scenario, spec.runner, spec.seed,
                               spec.trial, obs=spec.obs)
     if spec.kind == "modulated":
         replay = spec.replay
+        if replay is None and spec.replay_loader is not None:
+            replay = spec.replay_loader()
         if replay is None:
-            replay = _resolve_replay(spec.replay_ref)
+            replay = _resolve_replay(spec.replay_ref, spec.replay_digest)
         return run_modulated_trial(replay, spec.runner, spec.seed,
                                    spec.trial, spec.compensation,
                                    obs=spec.obs)
@@ -284,14 +298,15 @@ register_job_kind("trial", _EXECUTE_TRIAL)
 def job_for_spec(spec: TrialSpec) -> Job:
     """The runtime job for one trial spec.
 
-    The wire payload strips a materialized replay whenever the spec
-    also carries its store reference, so a distilled trace crosses the
-    process boundary at most once per worker.
+    A spec with a store reference ships only the reference: the wire
+    payload strips the materialized replay and the in-process loader,
+    so a distilled trace reaches a worker through the store, decoded
+    at most once per worker process.
     """
     wire = None
     refs: tuple = ()
-    if spec.replay is not None and spec.replay_ref is not None:
-        wire = replace(spec, replay=None)
+    if spec.replay_ref is not None:
+        wire = replace(spec, replay=None, replay_loader=None)
         # A --hosts fleet pushes this store artifact to the executing
         # node (HAVE-deduplicated) before dispatch, so the stripped
         # spec resolves there exactly as it does on one machine.
@@ -453,15 +468,26 @@ def _distillation(future: JobFuture) -> DistillationResult:
     return _unwrap_distill(future.result())[0]
 
 
+def _replay_of(future: JobFuture) -> ReplayTrace:
+    return _distillation(future).replay
+
+
 def _with_replay(dist_futs: Sequence[JobFuture],
                  run_index: Dict[Tuple[int, int], int],
                  spec: TrialSpec) -> TrialSpec:
-    """A modulated spec completed with the replay its trial runs over,
-    read from its traversal's distillation, and that artifact's store
-    key."""
+    """A modulated spec completed with its traversal's distillation.
+
+    When the distillation's artifact is in the store workers read, the
+    spec takes it by reference — store key and content digest — and
+    this process reads the replay only if the trial runs here (its
+    loader).  Otherwise the replay is read now and rides the spec.
+    """
     future = dist_futs[run_index[spec.seed, spec.trial]]
-    return replace(spec, replay=_distillation(future).replay,
-                   replay_ref=future.store_key)
+    ref = future.artifact()
+    if ref is None:
+        return replace(spec, replay=_replay_of(future))
+    return replace(spec, replay_ref=ref[0], replay_digest=ref[1],
+                   replay_loader=functools.partial(_replay_of, future))
 
 
 def _assemble_validation(scenario: Scenario, runner: BenchmarkRunner,

@@ -1,11 +1,14 @@
 """Unit tests for the trace collection machinery (§3.1)."""
 
 import gc
+import pickle
 import weakref
 
 import pytest
 
 from repro.apps.ping import ModifiedPing
+from repro.core.distill import Distiller, ParameterEstimate
+from repro.core.replay import QualityTuple
 from repro.core.collection import (
     CircularTraceBuffer,
     CollectionDaemon,
@@ -235,3 +238,44 @@ def test_collected_records_are_freed_with_the_returned_list():
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()
+
+
+def test_projected_daemon_keeps_what_distillation_reads(live_world):
+    """A daemon with ``keep`` appends only the records it accepts, in
+    drain order; the buffer drains, and accounts overruns, as before."""
+    w = live_world
+    tracer = PacketTracer(w.laptop, w.radio)
+    tracer.start_status_sampling()
+    reads = Distiller(ident=7).reads
+    daemon = CollectionDaemon(w.laptop, tracer.pseudo_device.name,
+                              keep=reads)
+    w.laptop.spawn(daemon.loop())
+    w.run(until=0.5)
+    for seq in range(3):
+        w.laptop.icmp.send_echo(LAPTOP_ADDR, SERVER_ADDR, 7, seq, 64)
+        w.laptop.icmp.send_echo(LAPTOP_ADDR, SERVER_ADDR, 8, seq, 64)
+    w.run(until=3.0)
+    daemon.stop()
+    w.run(until=4.0)
+    kinds = {type(r) for r in daemon.records}
+    assert kinds == {PacketRecord, DeviceStatusRecord}
+    assert all(reads(r) for r in daemon.records)
+    pings = [r for r in daemon.records if isinstance(r, PacketRecord)]
+    assert {r.ident for r in pings} == {7}
+    assert [r.timestamp for r in daemon.records] == sorted(
+        r.timestamp for r in daemon.records)
+    assert tracer.packets_traced > len(pings)
+
+
+@pytest.mark.parametrize("record", [
+    PacketRecord(timestamp=1.0, direction=DIR_IN, proto=1, size=84,
+                 src="a", dst="b", icmp_type=0, ident=1, seq=2, rtt=0.1),
+    DeviceStatusRecord(timestamp=1.0, signal_level=20.0,
+                       signal_quality=10.0, silence_level=3.0),
+    ParameterEstimate(time=1.0, F=1e-3, Vb=1e-6, Vr=2e-7, corrected=False),
+    QualityTuple(d=1.0, F=1e-3, Vb=1e-6, Vr=2e-7, L=0.0),
+], ids=lambda record: type(record).__name__)
+def test_bulk_records_are_slotted_and_weakly_referenceable(record):
+    assert not hasattr(record, "__dict__")
+    assert weakref.ref(record)() is record
+    assert pickle.loads(pickle.dumps(record)) == record

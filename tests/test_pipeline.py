@@ -34,6 +34,7 @@ from repro.pipeline import (
     as_pipeline,
     cache_token,
     canonical_json,
+    codec,
     digest,
 )
 from repro.scenarios import (
@@ -289,6 +290,31 @@ class TestDiskStore:
         fp = digest("p")
         ArtifactStore(tmp_path).put(fp, [1, 2])
         assert ArtifactStore(tmp_path).get(fp) == (True, [1, 2])
+
+    def test_object_layout_is_stable(self, tmp_path):
+        """``objects/<fp[:2]>/<fp>.rba`` plus its ``.json`` sidecar: a
+        cache written by an earlier checkout must keep reading back."""
+        store = ArtifactStore(tmp_path)
+        fp = digest("layout")
+        store.put(fp, [3], meta={"stage": "test"})
+        where = tmp_path / "objects" / fp[:2]
+        assert sorted(p.name for p in where.iterdir()) == [f"{fp}.json",
+                                                           f"{fp}.rba"]
+        assert store._object_path(fp) == where / f"{fp}.rba"
+        assert store.contains(fp) and not store.contains(digest("other"))
+        assert list(store.fingerprints()) == [fp]
+        store.delete(fp)
+        assert list(where.iterdir()) == []
+
+    def test_digest_mismatch_is_a_miss_and_dropped(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        fp = digest("d")
+        store.put(fp, "value")
+        blob = store.raw_get(fp)[1]
+        assert store.get(fp, digest=codec.content_digest(blob)) == (
+            True, "value")
+        assert store.get(fp, digest="0" * 64) == (False, None)
+        assert not store.contains(fp)
 
 
 # ======================================================================

@@ -185,6 +185,29 @@ def test_sweep_ledger_record_schema(instrumented_sweep):
     assert record["telemetry"]["spans"] == len(telemetry.spans)
 
 
+def test_ledger_records_peak_memory_and_metrics_exposes_it(
+        instrumented_sweep, tmp_path, capsys):
+    sweep = instrumented_sweep[0]
+    record = sweep_ledger_record(sweep, command="validate",
+                                 scenario="wean", seed=0, trials=1,
+                                 wall_s=1.0)
+    peaks = record["peak_rss_mb"]
+    # The fixture's 2-worker sweeps shut their workers down, so they
+    # were reaped and count among this process's children.
+    assert peaks["parent"] > 0 and peaks["workers"] > 0
+    ledger = RunLedger(tmp_path)
+    ledger.append(record)
+    ledger.append(dict(record, peak_rss_mb={"parent": 1.5,
+                                            "workers": None}))
+    assert main(["metrics", str(ledger.path)]) == 0
+    out = capsys.readouterr().out
+    _assert_prometheus_grammar(out)
+    gauges = dict(line.split() for line in out.splitlines()
+                  if line.startswith("repro_peak_rss_mb_"))
+    assert float(gauges["repro_peak_rss_mb_parent"]) == peaks["parent"]
+    assert float(gauges["repro_peak_rss_mb_workers"]) == peaks["workers"]
+
+
 # ----------------------------------------------------------------------
 # Prometheus exposition
 # ----------------------------------------------------------------------
