@@ -165,6 +165,9 @@ def _seed_clone(self):
         payload_bytes=self.payload_bytes,
         link_bytes=self.link_bytes,
         meta=dict(self.meta),
+        # The stored size rides along: the current devices read it off
+        # every frame a medium hands them, clones included.
+        _size=self._size,
     )
 
 
@@ -235,6 +238,26 @@ def _seed_wavelan_transmit_done(self, sender, packet, cond) -> None:
     self._try_grant()
 
 
+def _seed_wavelan_grant(self):
+    """The device half of the seed's grant handshake: the medium asks,
+    the radio applies its driver gap and hands over its head frame."""
+    self._pending = False
+    now = self.sim._now
+    if now < self._gap_until:
+        self.sim.call_later(self._gap_until - now, self._kick_transmit)
+        return None
+    packet = self.queue.poll()
+    if packet is not None:
+        self._record_tx(packet)
+    return packet
+
+
+def _seed_wavelan_after_transmit(self) -> None:
+    self._gap_until = self.sim._now + self.driver_gap
+    if self.queue._items:
+        self._kick_transmit()
+
+
 def _seed_wavelan_conditions_for(self, sender, packet):
     from repro.net.wavelan import ChannelProfile
 
@@ -272,6 +295,11 @@ def _seed_ether_transmit_done(self, sender, packet) -> None:
     self.sim.schedule(self.prop_delay, self._deliver, sender, packet)
     self.sim.schedule(self.INTERFRAME_GAP, self._release)
     self.sim.schedule(0.0, sender._after_transmit)
+
+
+def _seed_ether_after_transmit(self) -> None:
+    if self.queue._items:
+        self._kick_transmit()
 
 
 def _seed_ether_deliver(self, sender, packet) -> None:
@@ -378,9 +406,9 @@ def seed_mode():
     """
     import repro.hosts.worlds as worlds
     from repro.core.distill import Distiller
-    from repro.net.ethernet import EthernetSegment
+    from repro.net.ethernet import EthernetDevice, EthernetSegment
     from repro.net.packet import POOL, Packet
-    from repro.net.wavelan import PiecewiseProfile, WirelessMedium
+    from repro.net.wavelan import PiecewiseProfile, WaveLANDevice, WirelessMedium
     from repro.protocols.ip import Reassembler
 
     patches = [
@@ -393,6 +421,11 @@ def seed_mode():
         (WirelessMedium, "_conditions_for", _seed_wavelan_conditions_for),
         (WirelessMedium, "_receiver_for", _seed_wavelan_receiver_for),
         (WirelessMedium, "_deliver", _seed_wavelan_deliver),
+        # The current media grant in one step; the seed's medium methods
+        # above call the devices' half of the old handshake.
+        (WaveLANDevice, "_grant", _seed_wavelan_grant),
+        (WaveLANDevice, "_after_transmit", _seed_wavelan_after_transmit),
+        (EthernetDevice, "_after_transmit", _seed_ether_after_transmit),
         (EthernetSegment, "_transmit_done", _seed_ether_transmit_done),
         (EthernetSegment, "_deliver", _seed_ether_deliver),
         (Reassembler, "accept", _seed_reassembler_accept),

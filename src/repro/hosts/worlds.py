@@ -60,7 +60,6 @@ class LiveWorld:
         # WavePoint: radio <-> Ethernet learning bridge.
         ap_radio = WaveLANDevice(self.sim, "ap-wl0", BASE_ADDR, is_base=True)
         ap_eth = EthernetDevice(self.sim, "ap-en0", BASE_ADDR)
-        ap_eth.promiscuous = True
         self.medium.attach(ap_radio)
         self.ether.attach(ap_eth)
         self.bridge = Bridge(ap_radio, ap_eth, name="wavepoint")

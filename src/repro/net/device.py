@@ -95,7 +95,7 @@ class NetworkDevice:
                 tracer.drop("dev", packet, "device_down", device=self.name)
             return
         self.rx_packets += 1
-        self.rx_bytes += packet.size
+        self.rx_bytes += packet._size  # memoized when the sender queued it
         if tracer is not None:
             tracer.event("dev", "rx", packet, device=self.name)
         if self.input_hooks:
@@ -105,6 +105,28 @@ class NetworkDevice:
         upstream = self.upstream
         if upstream is not None:
             upstream(packet)
+
+    def overhear(self, packet: Packet) -> None:
+        """Receive a frame addressed to another station, for the taps only.
+
+        A broadcast medium calls this on a station whose input hooks
+        must see every frame on the air (the collection daemon's tap,
+        §3.1.2).  The frame is counted and traced as received and shown
+        to the hooks, exactly as :meth:`handle_receive` would, but the
+        stack never gets it: its receive filter would only drop it.
+        """
+        tracer = self.tracer
+        if not self.up:
+            if tracer is not None:
+                tracer.drop("dev", packet, "device_down", device=self.name)
+            return
+        self.rx_packets += 1
+        self.rx_bytes += packet._size
+        if tracer is not None:
+            tracer.event("dev", "rx", packet, device=self.name)
+        now = self.sim._now
+        for hook in self.input_hooks:
+            hook(self, packet, DIR_IN, now)
 
     # ------------------------------------------------------------------
     def device_status(self) -> Dict[str, Any]:

@@ -30,34 +30,27 @@ class EthernetDevice(NetworkDevice):
                  queue: Optional[DropTailQueue] = None):
         super().__init__(sim, name, address, queue)
         self.segment: Optional["EthernetSegment"] = None
-        self.promiscuous = False
+        # True while this NIC waits in the segment's arbitration queue.
         self._pending = False
 
     def _kick_transmit(self) -> None:
-        if self._pending or self.segment is None or not self.queue._items:
+        """Join the segment's arbitration queue if there is a frame to send."""
+        segment = self.segment
+        if self._pending or segment is None or not self.queue._items:
             return
         self._pending = True
-        self.segment.request_transmit(self)
-
-    def _grant(self) -> Optional[Packet]:
-        """Segment grants the medium; hand it the head frame."""
-        self._pending = False
-        packet = self.queue.poll()
-        if packet is not None:
-            self._record_tx(packet)
-        return packet
-
-    def _after_transmit(self) -> None:
-        if self.queue._items:
-            self._kick_transmit()
+        segment._waiters.append(self)
+        if not segment._busy:
+            segment._try_grant()
 
 
 class EthernetSegment:
     """A shared bus connecting any number of :class:`EthernetDevice`.
 
     Frames are delivered to the device whose address matches the IP
-    destination when one is attached; otherwise the frame floods to all
-    other devices (bridges listen promiscuously).
+    destination when one is attached; otherwise the frame floods to
+    every other device on the segment (the way a bridge port hears
+    traffic bound beyond it).
     """
 
     INTERFRAME_GAP = 9.6e-6  # 96 bit times at 10 Mb/s
@@ -94,24 +87,25 @@ class EthernetSegment:
         return 8.0 / self.bandwidth_bps
 
     # ------------------------------------------------------------------
-    def request_transmit(self, device: EthernetDevice) -> None:
-        self._waiters.append(device)
-        if not self._busy:
-            self._try_grant()
-
     def _try_grant(self) -> None:
-        if self._busy:
-            return
+        """Give the idle segment to the first waiting device: one step
+        per frame takes its head frame off its queue, books it and puts
+        it on the wire."""
         waiters = self._waiters
-        while True:
-            if not waiters:
-                return
+        while waiters:
             device = waiters.popleft()
-            packet = device._grant()
+            device._pending = False
+            packet = device.queue.poll()
             if packet is not None:
                 break
-        self._busy = True
+        else:
+            return
         size = packet._size  # memoized when the device queued it
+        device.tx_packets += 1
+        device.tx_bytes += size
+        if device.tracer is not None:
+            device.tracer.event("dev", "tx", packet, device=device.name)
+        self._busy = True
         tx_time = size * 8.0 / self.bandwidth_bps
         self.frames_carried += 1
         self.bytes_carried += size
@@ -126,21 +120,30 @@ class EthernetSegment:
             self.sim.call_later(tx_time, self._transmit_done, device, packet)
 
     def _transmit_done(self, sender: EthernetDevice, packet: Packet) -> None:
-        sender._after_transmit()
+        # The sender gets back in line while the segment is still busy,
+        # so its next frame contends in the next arbitration round.
+        if sender.queue._items and not sender._pending:
+            sender._pending = True
+            self._waiters.append(sender)
         self.sim.call_later(self.prop_delay, self._deliver, sender, packet)
         self.sim.call_later(self.INTERFRAME_GAP, self._release)
 
     def _deliver_release(self, sender: EthernetDevice, packet: Packet) -> None:
         # The sender re-queues before the medium is released so its
         # next frame contends in the same arbitration round.
-        sender._after_transmit()
+        waiters = self._waiters
+        if sender.queue._items and not sender._pending:
+            sender._pending = True
+            waiters.append(sender)
         self._busy = False
-        self._try_grant()
+        if waiters:
+            self._try_grant()
         self._deliver(sender, packet)
 
     def _release(self) -> None:
         self._busy = False
-        self._try_grant()
+        if self._waiters:
+            self._try_grant()
 
     def _deliver(self, sender: EthernetDevice, packet: Packet) -> None:
         """Hand ``packet`` to the devices owning its IP destination, or
@@ -151,6 +154,10 @@ class EthernetSegment:
             targets = [d for d in targets if d is not sender]
         if not targets:
             targets = self._others[sender]
+        if len(targets) == 1:
+            # Unicast, the usual case: nothing to fan out.
+            targets[0].handle_receive(packet)
+            return
         # Clone before delivering (not after): the receiving stack may
         # recycle the frame it was handed, so later copies must be taken
         # from a pristine packet.

@@ -198,7 +198,10 @@ class Packet:
     @property
     def ip_size(self) -> int:
         """Size of the IP datagram (no link header)."""
-        return self.size - self.link_bytes
+        size = self._size
+        if size is None:
+            size = self.size
+        return size - self.link_bytes
 
     def clone(self) -> "Packet":
         """A shallow, unpooled copy with a fresh packet id (used by

@@ -41,7 +41,9 @@ class DropTailQueue:
         if self.max_packets is not None and len(items) >= self.max_packets:
             self._drop(packet)
             return False
-        size = packet.size
+        size = packet._size  # usually memoized already (IP checks the MTU)
+        if size is None:
+            size = packet.size
         if self.max_bytes is not None and self._bytes + size > self.max_bytes:
             self._drop(packet)
             return False

@@ -153,40 +153,21 @@ class WaveLANDevice(NetworkDevice):
         if driver_gap is None:
             driver_gap = self.BASE_DRIVER_GAP if is_base else self.LAPTOP_DRIVER_GAP
         self.driver_gap = driver_gap
+        # True while this radio waits in the medium's arbitration queue.
         self._pending = False
+        # End of the driver's post-processing of the last frame sent.
         self._gap_until = 0.0
 
     # -- medium interaction (same contract as EthernetDevice) ----------
     def _kick_transmit(self) -> None:
-        if self._pending or self.medium is None or not self.queue._items:
+        """Join the medium's arbitration queue if there is a frame to send."""
+        medium = self.medium
+        if self._pending or medium is None or not self.queue._items:
             return
         self._pending = True
-        self.medium.request_transmit(self)
-
-    def _grant(self) -> Optional[Packet]:
-        self._pending = False
-        now = self.sim._now
-        if now < self._gap_until:
-            # The host driver is still busy post-processing the last
-            # frame; come back for the medium once the gap elapses.
-            self.sim.call_later(self._gap_until - now, self._kick_transmit)
-            return None
-        packet = self.queue.poll()
-        if packet is not None:
-            self._record_tx(packet)
-        return packet
-
-    def _after_transmit(self) -> None:
-        self._gap_until = self.sim._now + self.driver_gap
-        if self.queue._items:
-            # Re-enter the arbitration queue immediately rather than
-            # waiting out the driver gap: under contention the medium
-            # is busy far longer than the gap, so by the time the grant
-            # comes around the gap has usually elapsed and no wakeup
-            # event is ever needed.  ``_grant`` still defers (and
-            # schedules the one necessary wakeup) if the medium comes
-            # free while the driver is mid-gap.
-            self._kick_transmit()
+        medium._waiters.append(self)
+        if not medium._busy:
+            medium._try_grant()
 
     # -- status reporting ----------------------------------------------
     def device_status(self) -> dict:
@@ -218,6 +199,7 @@ class WirelessMedium:
 
     SLOT_TIME = 50e-6
     MAX_BACKOFF_SLOTS = 4
+    BACKOFF_BITS = (MAX_BACKOFF_SLOTS + 1).bit_length()
     PER_FRAME_OVERHEAD = 0.25e-3  # preamble, MAC framing, driver cost
 
     # Gilbert-Elliott fading: losses cluster into short bad periods
@@ -277,22 +259,35 @@ class WirelessMedium:
         self._by_address.setdefault(device.address, device)
 
     # ------------------------------------------------------------------
-    def request_transmit(self, device: WaveLANDevice) -> None:
-        self._waiters.append(device)
-        if not self._busy:
-            self._try_grant()
-
     def _try_grant(self) -> None:
-        if self._busy:
-            return
+        """Give the idle medium to the first waiting radio ready to send.
+
+        One step per frame: a radio still inside its driver gap (the
+        host driver is post-processing its last frame) gives up its
+        place and comes back once the gap elapses, with one wakeup
+        event; the first radio past its gap has its head frame taken
+        off its queue, booked and put on the air.
+        """
         waiters = self._waiters
-        while True:
-            if not waiters:
-                return
+        sim = self.sim
+        now = sim._now
+        while waiters:
             sender = waiters.popleft()
-            packet = sender._grant()
+            sender._pending = False
+            gap_until = sender._gap_until
+            if now < gap_until:
+                sim.call_later(gap_until - now, sender._kick_transmit)
+                continue
+            packet = sender.queue.poll()
             if packet is not None:
                 break
+        else:
+            return
+        size = packet._size  # memoized when the radio queued it
+        sender.tx_packets += 1
+        sender.tx_bytes += size
+        if sender.tracer is not None:
+            sender.tracer.event("dev", "tx", packet, device=sender.name)
         self._busy = True
         # The station addressed on this cell, if any: it supplies the
         # channel when the sender (a base station) has no profile, and
@@ -310,24 +305,29 @@ class WirelessMedium:
             profile = receiver.profile
         if profile is None:
             profile = ChannelProfile()
-        cond = profile.conditions(self.sim._now)
+        cond = profile.conditions(now)
         rng = self.rng
-        # ``_randbelow(n)`` is exactly what ``randrange(0, n)`` returns,
-        # from the same draws, without its argument checks.
-        backoff = rng._randbelow(self.MAX_BACKOFF_SLOTS + 1) * self.SLOT_TIME
+        # The draws of ``randrange(MAX_BACKOFF_SLOTS + 1)``: CPython
+        # draws ``getrandbits`` of the bound's bit length until a value
+        # falls below the bound.
+        getrandbits = rng.getrandbits
+        slots = getrandbits(self.BACKOFF_BITS)
+        while slots > self.MAX_BACKOFF_SLOTS:
+            slots = getrandbits(self.BACKOFF_BITS)
+        backoff = slots * self.SLOT_TIME
         access = 0.0
         if cond.access_latency_mean > 0.0:
             access = rng.expovariate(1.0 / cond.access_latency_mean)
-        tx_time = (packet._size * 8.0 / (self.rate_bps * cond.bandwidth_factor)
+        tx_time = (size * 8.0 / (self.rate_bps * cond.bandwidth_factor)
                    + self.PER_FRAME_OVERHEAD)
         self.frames_carried += 1
         # Propagation rides the same event as serialization: the frame
         # arrives (or is lost) one event after the grant, and the
         # medium frees at arrival time.
         nominal = cond.loss_prob_down if sender.is_base else cond.loss_prob_up
-        self.sim.call_later(backoff + access + tx_time + self.prop_delay,
-                            self._transmit_done, sender, packet, receiver,
-                            nominal)
+        sim.call_later(backoff + access + tx_time + self.prop_delay,
+                       self._transmit_done, sender, packet, receiver,
+                       nominal)
 
     def _transmit_done(self, sender: WaveLANDevice, packet: Packet,
                        receiver: Optional[WaveLANDevice],
@@ -344,12 +344,21 @@ class WirelessMedium:
                                  else UPLINK)
             POOL.release(packet)
         self._busy = False
-        # The sender's driver gap must be on the books before the next
-        # grant is attempted, or a queued frame would sneak past it;
-        # delivery stays after the grant attempt, matching the order the
+        # The sender's driver gap goes on the books, and the sender back
+        # in line if it has more to send, before the next grant, or a
+        # queued frame would sneak past the gap.  It re-queues at once
+        # rather than after the gap: under contention the medium is
+        # busy far longer than the gap, so by the time its turn comes
+        # the gap has usually elapsed and no wakeup event is needed.
+        # Delivery stays after the grant, matching the order the
         # separate propagation event used to impose.
-        sender._after_transmit()
-        self._try_grant()
+        sender._gap_until = self.sim._now + sender.driver_gap
+        waiters = self._waiters
+        if sender.queue._items and not sender._pending:
+            sender._pending = True
+            waiters.append(sender)
+        if waiters:
+            self._try_grant()
         if lost:
             return
         if receiver is not None:
@@ -358,21 +367,28 @@ class WirelessMedium:
         # No station owns the address: the frame leaves the cell through
         # a base station.  The radio is physically broadcast, but a
         # station's receive filter discards frames addressed elsewhere
-        # with no observable effect, so delivery short-circuits to the
-        # devices that actually look at the frame: base stations (which
-        # bridge it onward) and any device carrying an input tap (the
-        # collection daemon's hook makes the traced laptop
-        # promiscuous).  Loss was already decided per transmission, so
-        # skipping deaf stations draws no RNG and changes no result.
-        # Clone *ahead of* each delivery: a receiver's stack may consume
-        # the frame it was handed (terminal inputs recycle pool slots),
-        # so the copy for the next receiver has to be taken while this
-        # one is still pristine.
-        receivers = [d for d in self.devices
-                     if d is not sender and (d.is_base or d.input_hooks)]
-        for device in receivers[:-1]:
+        # with no observable effect, so only two kinds of radio look at
+        # this one.  A station carrying an input tap (the collection
+        # daemon's hooks on the traced laptop) overhears it: the frame
+        # is counted, traced and shown to the hooks, and never reaches
+        # that station's stack.  Every tap runs before any base station
+        # gets the frame, since a receiving stack may recycle it.  The
+        # base stations then receive it and bridge it onward; each but
+        # the last gets a clone taken ahead of its delivery, while the
+        # frame is still pristine.  Loss was already decided per
+        # transmission, so skipping deaf stations draws no RNG and
+        # changes no result.
+        bases = []
+        for device in self.devices:
+            if device is sender:
+                continue
+            if device.is_base:
+                bases.append(device)
+            elif device.input_hooks:
+                device.overhear(packet)
+        for device in bases[:-1]:
             spare = packet.clone()
             device.handle_receive(packet)
             packet = spare
-        if receivers:
-            receivers[-1].handle_receive(packet)
+        if bases:
+            bases[-1].handle_receive(packet)

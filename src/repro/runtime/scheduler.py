@@ -328,19 +328,25 @@ class JobFuture:
 
     def _detach(self, store: ArtifactStore, kept: Dict[str, bytes]) -> None:
         """The scratch ``store`` holding this future's result is about
-        to be removed: keep the encoded artifact of a result not yet
-        decoded (one copy per key, shared through ``kept``) and store
-        nothing there again."""
+        to be removed: keep the result's encoded artifact (one copy per
+        key, shared through ``kept``) in place of the result, and store
+        nothing there again.  A later read decodes the bytes, or
+        recomputes the job if they no longer decode.
+
+        A result already decoded, or computed in this process and
+        stored under its fingerprint, gives up its objects too: the
+        caller of a finished serial sweep still holds every
+        distillation's future, and the bytes are about a fifth of the
+        decoded distillation."""
         self._pipeline = None
-        if self._result is not self._UNSET:
-            return
-        key = None
-        if self._found:
+        item = self._item
+        if item is not self._UNSET and item is not None \
+                and item.envelope is not None:
+            key = item.envelope.key
+        elif self._found or (self._future is None
+                             and self._result is not self._UNSET):
             key = self.job.fingerprint
-        elif self._item is not self._UNSET and self._item is not None \
-                and self._item.envelope is not None:
-            key = self._item.envelope.key
-        if key is None:
+        else:
             return
         blob = kept.get(key)
         if blob is None:
@@ -349,6 +355,10 @@ class JobFuture:
                 return
             kept[key] = blob
         self._kept = blob
+        # An envelope reads back through _rehydrate, anything else as a
+        # hit does, through _load.
+        self._found = item is self._UNSET
+        self._result = self._UNSET
 
     def _reply(self) -> Optional[JobResult]:
         """Decode the worker's reply frame: the job's
@@ -506,9 +516,9 @@ class Scheduler:
 
     def shutdown(self) -> None:
         """Stop the backend and remove the scratch store.  A result in
-        it that someone still holds but has not decoded keeps its
-        encoded bytes, so it stays readable; nothing is stored there
-        again."""
+        it that someone still holds keeps its encoded bytes in place of
+        its decoded objects, so it stays readable; nothing is stored
+        there again."""
         self._close_backend()
         self._ipc_store = None
         if self._scratch is not None:

@@ -125,7 +125,15 @@ class Process:
         except Exception as exc:  # application error: record and re-raise to waiters
             self._finish(None, exc)
             return
-        self._handle_request(request)
+        # The two waits nearly every resume ends in are handled here;
+        # _handle_request takes the rest.
+        if isinstance(request, Signal):
+            self._waiting_on = request
+            request._waiters.append(self)
+        elif isinstance(request, Timeout):
+            self._pending_event = self._sim.schedule(request.delay, self._resume, None)
+        else:
+            self._handle_request(request)
 
     def _throw(self, exc: BaseException) -> None:
         if not self.alive:

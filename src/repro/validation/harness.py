@@ -474,9 +474,10 @@ class LazySequence(Sequence):
     future's ``result``), so each entry is loaded at most once however
     often it is read, and never if it is not.  A job future loads from
     its store; after its executor has shut down, from the encoded
-    bytes it kept of a scratch-store result (see
-    :meth:`~repro.runtime.scheduler.Scheduler.shutdown`), or by
-    recomputing one whose bytes no longer decode.
+    bytes it kept of a scratch-store result in place of the result
+    (see :meth:`~repro.runtime.scheduler.Scheduler.shutdown`), so an
+    entry read before the shutdown is loaded once more after it, or
+    recomputed if its bytes no longer decode.
     """
 
     def __init__(self, loaders: Iterable[Callable[[], Any]]):

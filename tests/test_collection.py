@@ -240,6 +240,20 @@ def test_collected_records_are_freed_with_the_returned_list():
         gc.enable()
 
 
+def test_traced_laptop_overhears_cross_traffic_without_dropping_it():
+    """SynRGen frames bound for the server reach the laptop's tap but
+    never its stack, so its IP layer has nothing to drop as not-mine."""
+    world_out: dict = {}
+    records = collect_trace(ChatterboxScenario(), 3, 0, duration=10.0,
+                            world_out=world_out)
+    world = world_out["world"]
+    cross = {h.address for h in world.cross_hosts}
+    assert any(isinstance(r, PacketRecord) and r.src in cross
+               for r in records)
+    assert world.laptop.ip.dropped_not_mine == 0
+    assert world.radio.rx_packets > world.laptop.ip.received
+
+
 def test_projected_daemon_keeps_what_distillation_reads(live_world):
     """A daemon with ``keep`` appends only the records it accepts, in
     drain order; the buffer drains, and accounts overruns, as before."""

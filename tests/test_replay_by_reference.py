@@ -14,13 +14,16 @@ memory):
   the parent with the identical result;
 * the scratch store's undecoded results keep their encoded bytes past
   ``shutdown()``, which decodes none of them; they read back equal to
-  the cold results, and a corrupted kept blob is recomputed;
+  the cold results, and a corrupted kept blob is recomputed; results
+  read during the sweep give up their objects for those bytes too;
 * the distill trial, which collects only the records distillation
   reads, equals distilling the full trace, for all four scenarios.
 """
 
+import gc
 import json
 import tempfile
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -181,6 +184,25 @@ def test_scratch_hits_are_kept_as_bytes_past_shutdown(
     assert distilled(second.validations) == cold
     assert len(distill_decodes) == before + 2
     assert list(tmp_path.glob("repro-ipc-*")) == []
+
+
+@WORKERS
+def test_read_results_give_up_their_objects_at_shutdown(
+        workers, tmp_path, monkeypatch, distill_decodes):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with TrialExecutor(workers=workers) as exe:
+        first = sweep(executor=exe, scenarios=SCENARIOS[1:])
+        cold = distilled(first.validations)
+        objects = [weakref.ref(d) for v in first.validations
+                   for d in v.distillations]
+        before = len(distill_decodes)
+    # The finished sweep still holds its futures, but they hold only the
+    # encoded bytes of what the sweep read: its objects are gone ...
+    gc.collect()
+    assert [ref() for ref in objects] == [None, None]
+    # ... and come back equal, decoded once more.
+    assert distilled(first.validations) == cold
+    assert len(distill_decodes) == before + 2
 
 
 @WORKERS
