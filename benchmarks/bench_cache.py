@@ -17,8 +17,11 @@ the artifacts its table needs (the metrics, never a distilled
 traversal), and all four sweeps render byte-identical tables.  The
 workers leg must run on the workers, and its parent must decode no
 distilled traversal either: the workers take each one from the store
-by reference.  Writes the measurements and both legs' decode counts
-as JSON.
+by reference.  The serial legs (``cold``, ``uncached``) take them by
+reference too, so no decoded distillation may be alive when their
+sweep returns, before anything reads its ``distillations``.  Writes
+the measurements, the decode counts and the serial legs' live
+distillations as JSON.
 
 Usage::
 
@@ -29,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import tempfile
@@ -37,6 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.distill import DistillationResult  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.scenarios import scenario_by_name  # noqa: E402
 from repro.validation import FtpRunner, run_validation  # noqa: E402
@@ -49,6 +54,12 @@ def run_sweep(scenario, runner, trials, cache=None, workers=1):
     sweep = run_validation(scenario, runner, seed=0, trials=trials,
                            workers=workers, cache=cache)
     return sweep, time.perf_counter() - started
+
+
+def live_distillations() -> int:
+    """Decoded distillations alive in this process."""
+    gc.collect()
+    return sum(isinstance(o, DistillationResult) for o in gc.get_objects())
 
 
 def main(argv=None) -> int:
@@ -71,9 +82,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root, \
             tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root2:
         cold, cold_s = run_sweep(scenario, runner, trials, cache=root)
+        held = {"cold": live_distillations()}
         warm_cache = Pipeline(root)
         warm, warm_s = run_sweep(scenario, runner, trials, cache=warm_cache)
         plain, plain_s = run_sweep(scenario, runner, trials)
+        held["uncached"] = live_distillations()
         workers_cache = Pipeline(root2)
         pooled, pooled_s = run_sweep(scenario, runner, trials,
                                      cache=workers_cache, workers=2)
@@ -116,6 +129,11 @@ def main(argv=None) -> int:
     assert not pooled_decoded.get("distill"), \
         f"the workers leg's parent decoded " \
         f"{pooled_decoded['distill']} distillation(s)"
+    # Counted as each serial sweep returned, before any read.
+    print(f"  live distillations after the serial legs: {held}")
+    for label, count in held.items():
+        assert count == 0, \
+            f"the {label} leg returned holding {count} distillation(s)"
 
     out = Path(args.out) if args.out else \
         Path(__file__).resolve().parent / "output" / "BENCH_cache.json"
@@ -133,6 +151,7 @@ def main(argv=None) -> int:
         "warm_decoded": decoded,
         "workers_seconds": round(pooled_s, 4),
         "workers_decoded": pooled_decoded,
+        "serial_live_distillations": held,
         "tables_identical": True,
     }, indent=1), encoding="utf-8")
     print(f"wrote {out}")

@@ -35,7 +35,9 @@ class NetworkDevice:
         self.sim = sim
         self.name = name
         self.address = address
-        self.queue = queue or DropTailQueue(max_packets=100, name=f"{name}.txq")
+        if queue is None:
+            queue = DropTailQueue(max_packets=100, name=f"{name}.txq")
+        self.queue = queue
         self.up = True
         self.upstream: Optional[Callable[[Packet], None]] = None
         self.input_hooks: List[Hook] = []

@@ -63,19 +63,26 @@ class ChannelConditions:
         )
 
 
+# The perfect channel: signal, loss up, loss down, bandwidth factor,
+# access latency.  One shared object, read once per frame by every
+# station on the default profile (the SynRGen cross-traffic radios)
+# or on none; nothing writes to it.
+_PERFECT_CHANNEL = ChannelConditions(30.0, 0.0, 0.0, 1.0, 0.0)
+
+
 class ChannelProfile:
     """Base class: channel conditions as a function of simulated time.
 
     Scenario modules subclass or compose this; the default is a perfect
-    channel (used for base stations and wired-quality stations).
-    ``conditions`` must return values already in their legal range
-    (see :meth:`ChannelConditions.clamped`): the medium reads them as
-    they are, once per frame.
+    channel (used for base stations and wired-quality stations), and
+    returns the same object every time.  ``conditions`` must return
+    values already in their legal range (see
+    :meth:`ChannelConditions.clamped`): the medium reads them as they
+    are, once per frame, and never modifies them.
     """
 
     def conditions(self, t: float) -> ChannelConditions:
-        # signal, loss up, loss down, bandwidth factor, access latency
-        return ChannelConditions(30.0, 0.0, 0.0, 1.0, 0.0)
+        return _PERFECT_CHANNEL
 
 
 class PiecewiseProfile(ChannelProfile):
@@ -145,8 +152,7 @@ class WaveLANDevice(NetworkDevice):
                  is_base: bool = False,
                  queue: Optional[DropTailQueue] = None,
                  driver_gap: Optional[float] = None):
-        super().__init__(sim, name, address,
-                         queue or DropTailQueue(max_packets=50, name=f"{name}.txq"))
+        super().__init__(sim, name, address, queue)
         self.medium: Optional["WirelessMedium"] = None
         self.profile = profile
         self.is_base = is_base
@@ -303,9 +309,8 @@ class WirelessMedium:
         profile = sender.profile
         if profile is None and receiver is not None:
             profile = receiver.profile
-        if profile is None:
-            profile = ChannelProfile()
-        cond = profile.conditions(now)
+        cond = (_PERFECT_CHANNEL if profile is None
+                else profile.conditions(now))
         rng = self.rng
         # The draws of ``randrange(MAX_BACKOFF_SLOTS + 1)``: CPython
         # draws ``getrandbits`` of the bound's bit length until a value

@@ -10,9 +10,10 @@ interleaved with trial code in ``validation/parallel.py``:
   artifact is decoded on the first ``result()``, and computed results
   are stored as they land;
 * **results by reference** — :meth:`JobFuture.artifact` names the
-  encoded artifact holding a hit or a worker's result (store key and
-  content digest) without decoding it, so a downstream job can take it
-  from the store; whoever decodes it first checks the digest;
+  encoded artifact holding a result (store key and content digest),
+  and keeps no decoded copy of it, so a downstream job can take it
+  from the store wherever it runs; whoever decodes it checks the
+  digest, and ``result(keep=False)`` decodes it for one read;
 * **one dispatch queue** — every job that missed the cache goes
   straight into the backend's FIFO queue, one job per round trip,
   longest ``cost_hint`` first (ties keep submission order); workers
@@ -150,7 +151,8 @@ class JobFuture:
     one that was recomputed (a miss).  A worker's envelope is
     accounted when its reply is read, decoded or not.
     :meth:`artifact` hands the stored result to downstream jobs by
-    reference.
+    reference, and ``result(keep=False)`` reads a stored result without
+    holding on to it.
     """
 
     _UNSET = object()
@@ -169,7 +171,8 @@ class JobFuture:
         # The worker's reply, read once (see _take_reply).
         self._item: Any = self._UNSET
         # Whether the pipeline already logged this job's miss (a worker
-        # wrote the artifact into the pipeline's own store).
+        # wrote the artifact into the pipeline's own store, or the
+        # result was stored there once resolved).
         self._accounted = False
         # Content digest of a hit's artifact, once handed out.
         self._digest: Optional[str] = None
@@ -177,9 +180,13 @@ class JobFuture:
         # holding it is removed (see Scheduler.shutdown).
         self._kept: Optional[bytes] = None
 
-    def result(self):
+    def result(self, keep: bool = True):
+        """The job's result.  With ``keep=False`` a result read from a
+        store (a hit, a worker's envelope, one :meth:`artifact` stored)
+        is not held here: the caller has the only copy, and the next
+        read decodes the artifact again."""
         try:
-            return self._resolve()
+            return self._resolve(keep)
         except KeyboardInterrupt:
             # Ctrl-C while gathering: drop the queued jobs and tear the
             # backend down cleanly before propagating (the CLI maps
@@ -190,54 +197,61 @@ class JobFuture:
 
     def artifact(self) -> Optional[Tuple[str, str]]:
         """``(store key, content digest)`` of the encoded artifact that
-        holds this result where the scheduler's workers read, without
-        decoding it — so a downstream job can take the result by
-        reference.
+        holds this result, with no decoded copy kept here — so a
+        downstream job takes the result by reference, and whichever
+        process runs it decodes it.
 
         A hit is hashed from the store.  A job a worker ran waits for
         its reply and names the envelope the worker sealed; on a
         ``--hosts`` fleet the bytes are fetched into the parent store
-        first, so they can be pushed to whichever node needs them.
-        ``None`` when no worker will read the result from the store
-        (jobs run in this process, the result rode the reply frame, or
-        it lives in a memory-only or removed store, or in a cache
-        attached after the workers started); the caller then reads
-        :meth:`result`.  Whoever decodes the artifact first checks it
-        against the digest.
+        first, so they can be pushed to whichever node needs them.  Any
+        other result — a job run in this process (serially, or after
+        its worker failed), or a reply the workers cannot read — is
+        resolved now and stored under its fingerprint, and its decoded
+        copy let go: a later :meth:`result` decodes it, as a hit's.
+        Workers that read another store than the one holding the
+        artifact (a cache attached after they started) get a copy.
+        ``None`` when nothing can name the result: the job has no
+        fingerprint and ran here, or its store was removed (see
+        :meth:`Scheduler.shutdown`).  Whoever decodes the artifact
+        checks it against the digest.
         """
         sched = self._scheduler
-        if sched is None or sched._serial_fallback \
-                or self._kept is not None:
+        if sched is None or self._kept is not None:
             return None
+        pipeline = self._pipeline
         ipc = sched._ipc_store
-        own = self._pipeline.store if self._pipeline is not None else None
-        if self._found:
-            # Workers read the store their backend started over: this
-            # pipeline's, if none has started yet.
-            if own is None or own.root is None \
-                    or (ipc is not None and ipc is not own):
-                return None
-            if self._digest is None:
-                found, blob = own.raw_get(self.job.fingerprint)
-                if not found:
-                    return None
-                self._digest = codec.content_digest(blob)
-            return self.job.fingerprint, self._digest
-        if self._future is None or ipc is None or ipc.root is None \
-                or (own is not None and own is not ipc):
+        if self._future is not None and ipc is not None \
+                and ipc.root is not None \
+                and (pipeline is None or pipeline.store is ipc):
+            item = self._take_reply()
+            env = item.envelope if item is not None else None
+            if env is not None:
+                backend = sched._backend
+                if ipc.contains(env.key) or (
+                        backend is not None and backend.fetch_artifact(
+                            env.key, env.digest) is not None):
+                    return env.key, env.digest
+        if pipeline is None:
             return None
-        item = self._take_reply()
-        env = item.envelope if item is not None else None
-        if env is None:
-            return None
-        if not ipc.contains(env.key):
-            backend = sched._backend
-            if backend is None or backend.fetch_artifact(
-                    env.key, env.digest) is None:
+        if not self._found:
+            self.result()
+            self._result = self._UNSET
+            self._item = None
+            self._found = True
+        key = self.job.fingerprint
+        if self._digest is None:
+            store = pipeline.store
+            found, blob = store.raw_get(key)
+            if not found:
                 return None
-        return env.key, env.digest
+            self._digest = codec.content_digest(blob)
+            if ipc is not None and ipc is not store \
+                    and ipc.root is not None and not ipc.contains(key):
+                ipc.put_encoded(key, blob)
+        return key, self._digest
 
-    def _resolve(self):
+    def _resolve(self, keep: bool = True):
         if self._result is not self._UNSET:
             return self._result
         sched = self._scheduler
@@ -246,7 +260,8 @@ class JobFuture:
         if self._found:
             value = self._load()
             if value is not self._UNSET:
-                self._result = value
+                if keep:
+                    self._result, self._kept = value, None
                 return value
             # Found at submission, but it no longer decodes (and was
             # dropped): recompute it below, which logs the miss.
@@ -274,24 +289,27 @@ class JobFuture:
                 value = run_job_inline(self.job)
             if not recompute and sched.progress is not None:
                 sched.progress.completed()
-        self._result = value
+        if keep or computed:
+            # Held now: the bytes kept past shutdown are not needed.
+            self._result, self._kept = value, None
         pipeline = self._pipeline
         if pipeline is not None:
             if not self._accounted:
                 pipeline.store_result(self.job.fingerprint, value,
                                       stage=self.job.kind)
+                self._accounted = True
             elif computed:
                 # The worker's artifact did not read back; replace it
                 # (its miss is already logged).
                 pipeline.store.put(self.job.fingerprint, value,
                                    meta={"stage": self.job.kind})
-        return self._result
+        return value
 
     def _load(self):
         """Decode a found artifact — the bytes kept past shutdown, else
         the pipeline's copy — checked against its digest once one was
         handed out; ``_UNSET`` when it no longer decodes."""
-        kept, self._kept = self._kept, None
+        kept = self._kept
         if kept is None:
             if self._pipeline is None:
                 return self._UNSET
@@ -340,9 +358,10 @@ class JobFuture:
         decoded distillation."""
         self._pipeline = None
         item = self._item
-        if item is not self._UNSET and item is not None \
-                and item.envelope is not None:
-            key = item.envelope.key
+        env = item.envelope if item is not self._UNSET \
+            and item is not None else None
+        if env is not None:
+            key = env.key
         elif self._found or (self._future is None
                              and self._result is not self._UNSET):
             key = self.job.fingerprint
@@ -357,7 +376,7 @@ class JobFuture:
         self._kept = blob
         # An envelope reads back through _rehydrate, anything else as a
         # hit does, through _load.
-        self._found = item is self._UNSET
+        self._found = env is None
         self._result = self._UNSET
 
     def _reply(self) -> Optional[JobResult]:
@@ -396,7 +415,7 @@ class JobFuture:
         falling back to recomputation."""
         sched = self._scheduler
         t0 = time.perf_counter_ns()
-        blob, self._kept = self._kept, None
+        blob = self._kept
         if blob is None:
             store = sched._ipc_store if sched is not None else None
             if store is None:
@@ -718,11 +737,15 @@ class Scheduler:
 
     def _dispatch(self, job: Job) -> Optional[Future]:
         """Frame one job and put it on the backend's queue.  ``None``
-        runs the job in the parent instead: it would not pickle (not
-        fatal), or the backend is gone or refused it (a refusal marks
-        the backend broken, so the rest of the batch stays inline)."""
+        runs the job in the parent instead: it names store inputs and
+        its workers read no store (a memory-only cache), it would not
+        pickle (not fatal), or the backend is gone or refused it (a
+        refusal marks the backend broken, so the rest of the batch
+        stays inline)."""
         backend = self._backend
         if backend is None:
+            return None
+        if job.input_refs and self._ipc_store.root is None:
             return None
         telemetry = self.telemetry
         payload = job.for_wire()
@@ -770,7 +793,8 @@ class Scheduler:
             # Workers seal bulk results into the memo's store under the
             # job's fingerprint (on a fleet, into node stores the parent
             # fetches from).  A memory-only cache has no directory to
-            # share; results then ride the reply frames.
+            # share; results then ride the reply frames, and jobs that
+            # take an input by reference run here.
             self._ipc_store = self._memo().store
             store_root = (str(self._ipc_store.root)
                           if self._ipc_store.root is not None else None)

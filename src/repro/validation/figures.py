@@ -28,6 +28,7 @@ from ..sim.rng import derive_seed
 from .harness import (
     BenchmarkRunner,
     ScenarioValidation,
+    _run_until_done,
     compensation_vb,
 )
 
@@ -113,12 +114,7 @@ def _one_ftp(trace: ReplayTrace, direction: str, size_bytes: int,
         sink["elapsed"] = result.elapsed
 
     proc = world.laptop.spawn(body(), name="fig1-ftp")
-    t = 0.0
-    while proc.alive and t < 2400.0:
-        t += 20.0
-        world.run(until=t)
-    if proc.error:
-        raise proc.error
+    _run_until_done(world, proc)
     return sink["elapsed"]
 
 

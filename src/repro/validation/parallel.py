@@ -29,15 +29,15 @@ machinery lives there.  What stays here:
   whose serial functions are these with ``workers=1``.
 
 Workers seal bulk results into the scheduler's store and hand back
-envelopes; see :mod:`repro.runtime`.  Modulated trials receive their
-replay by store reference (``replay_ref`` and its content digest)
-whenever the distillation is in the store workers read — a cache or
-memo hit, or a worker-sealed envelope — and the parent does not decode
-it: the worker does, checking the digest first, and memoizes decoded
-replays, so a distilled trace is decoded at most once per worker
-process.  The parent reads a distillation only when a modulated trial
-of it runs in this process (serially, or after a transport failure),
-when the sweep collects metrics records, or when a caller reads
+envelopes; see :mod:`repro.runtime`.  A modulated trial takes its
+replay by store reference — the distillation artifact's key and
+content digest — whether the distillation is a cache or memo hit, a
+worker-sealed envelope, or was computed in this process (serially, or
+after a transport failure), which stores it and keeps no decoded copy.
+The process that runs the trial decodes the replay, checking the
+digest first, and lets it go when the trial ends; nothing memoizes
+it.  The parent otherwise reads a distillation only when the sweep
+collects metrics records, or when a caller reads
 :attr:`ScenarioValidation.distillations`.  Distill trials collect
 through :meth:`Distiller.reads <repro.core.distill.Distiller.reads>`,
 so a worker holds only the trace records distillation reads.
@@ -130,8 +130,8 @@ class TrialSpec:
     ``"live"``
         One live benchmark trial; returns the metric dict.
     ``"modulated"``
-        One modulated benchmark trial over ``replay``; returns the
-        metric dict.
+        One modulated benchmark trial over ``replay`` (or the replay
+        ``replay_ref`` names); returns the metric dict.
     ``"ethernet"``
         One unmodulated Ethernet baseline trial; returns the metric
         dict.
@@ -146,12 +146,13 @@ class TrialSpec:
     ``replay_ref`` names the distill artifact holding this modulated
     trial's replay in the scheduler's store, and ``replay_digest`` its
     content digest, which a worker checks before decoding it.  The
-    copy shipped to workers carries only these; they resolve the
-    reference (memoized per process).  In-process execution uses
-    ``replay`` when set, else ``replay_loader`` — a zero-argument
-    callable reading the replay from its distillation, never shipped.
-    All are byte-equivalent — the codec round-trip is exact — so where
-    a trial runs cannot change its result.
+    copy shipped to workers carries only these; a worker decodes the
+    replay for the one trial.  In-process execution uses ``replay``
+    when set (a caller's own replay), else ``replay_loader`` — a
+    zero-argument callable decoding the replay from its distillation's
+    artifact, never shipped.  All are byte-equivalent — the codec
+    round-trip is exact — so where a trial runs cannot change its
+    result.
     """
 
     kind: str
@@ -217,25 +218,19 @@ class TrialSpec:
 class _ReplayResolveError(JobTransportError):
     """A ``replay_ref`` that the worker's store cannot supply.
     A :class:`JobTransportError`, so the job executor converts it to
-    a transport failure and the parent re-executes with the
-    materialized replay — a transport hiccup must never surface as a
+    a transport failure and the parent re-executes the trial, reading
+    the replay itself — a transport hiccup must never surface as a
     wrong result."""
-
-
-# Decoded replays memoized per worker process (see TrialSpec.replay_ref).
-_WORKER_REPLAY_CACHE: Dict[str, ReplayTrace] = {}
 
 
 def _resolve_replay(ref: Optional[str],
                     digest: Optional[str] = None) -> ReplayTrace:
-    """The replay trace behind a ``replay_ref``, memoized per worker;
-    with ``digest``, the artifact must match it to be decoded."""
+    """The replay trace behind a ``replay_ref``, decoded from this
+    worker's store for one trial; with ``digest``, the artifact must
+    match it to be decoded."""
     if ref is None:
         raise _ReplayResolveError(
             "modulated spec carries neither replay nor replay_ref")
-    replay = _WORKER_REPLAY_CACHE.get(ref)
-    if replay is not None:
-        return replay
     store = worker_store()
     if store is None:
         raise _ReplayResolveError("worker has no store")
@@ -250,10 +245,8 @@ def _resolve_replay(ref: Optional[str],
         raise _ReplayResolveError(f"distill artifact {ref[:12]}...: {exc}")
     if isinstance(value, dict) and "__distill__" in value:
         value = value["__distill__"]
-    replay = value.replay if isinstance(value, DistillationResult) else value
-    _WORKER_REPLAY_CACHE[ref] = replay
     span_end(tok, "replay_resolve", ref[:12], nbytes=len(blob))
-    return replay
+    return value.replay if isinstance(value, DistillationResult) else value
 
 
 def execute_trial(spec: TrialSpec):
@@ -300,8 +293,9 @@ def job_for_spec(spec: TrialSpec) -> Job:
 
     A spec with a store reference ships only the reference: the wire
     payload strips the materialized replay and the in-process loader,
-    so a distilled trace reaches a worker through the store, decoded
-    at most once per worker process.
+    so a distilled trace reaches a worker through the store.  The
+    loader never ships; a trial with nothing but a loader is refused
+    by the worker and runs here.
     """
     wire = None
     refs: tuple = ()
@@ -311,6 +305,8 @@ def job_for_spec(spec: TrialSpec) -> Job:
         # node (HAVE-deduplicated) before dispatch, so the stripped
         # spec resolves there exactly as it does on one machine.
         refs = (spec.replay_ref,)
+    elif spec.replay_loader is not None:
+        wire = replace(spec, replay_loader=None)
     return Job(kind=spec.kind, runner=_EXECUTE_TRIAL, payload=spec,
                label=spec.span_label(), fingerprint=spec.fingerprint,
                cost_hint=spec.cost_hint(), wire_payload=wire,
@@ -330,10 +326,10 @@ def spec_fingerprint(spec: TrialSpec,
     ``{"__distill__", "__obs__"}`` wrapper, which gets its own keyspace.
 
     ``distill_stage`` supplies the upstream ancestry for ``"modulated"``
-    specs (the spec itself only carries the materialized replay); for a
-    ``"distill"`` spec it is the stage the spec runs, so a sweep that
-    keeps the stage computes its fingerprint once for the distill trial
-    and every modulated trial chained to it.
+    specs (the spec itself carries only its replay, or a reference to
+    it); for a ``"distill"`` spec it is the stage the spec runs, so a
+    sweep that keeps the stage computes its fingerprint once for the
+    distill trial and every modulated trial chained to it.
     Returns ``None`` — never cache — when an input has no stable token.
     """
     try:
@@ -469,24 +465,23 @@ def _distillation(future: JobFuture) -> DistillationResult:
 
 
 def _replay_of(future: JobFuture) -> ReplayTrace:
-    return _distillation(future).replay
+    """The replay, decoded for the trial that reads it: the future
+    does not hold it."""
+    return _unwrap_distill(future.result(keep=False))[0].replay
 
 
 def _with_replay(dist_futs: Sequence[JobFuture],
                  run_index: Dict[Tuple[int, int], int],
                  spec: TrialSpec) -> TrialSpec:
-    """A modulated spec completed with its traversal's distillation.
-
-    When the distillation's artifact is in the store workers read, the
-    spec takes it by reference — store key and content digest — and
-    this process reads the replay only if the trial runs here (its
-    loader).  Otherwise the replay is read now and rides the spec.
+    """A modulated spec completed with its traversal's distillation,
+    by reference: the store key and content digest of its artifact
+    (see :meth:`JobFuture.artifact`, which stores a distillation
+    computed here).  A worker decodes the replay from its store, this
+    process through the loader; either lets it go when the trial ends.
     """
     future = dist_futs[run_index[spec.seed, spec.trial]]
-    ref = future.artifact()
-    if ref is None:
-        return replace(spec, replay=_replay_of(future))
-    return replace(spec, replay_ref=ref[0], replay_digest=ref[1],
+    ref, digest = future.artifact() or (None, None)
+    return replace(spec, replay_ref=ref, replay_digest=digest,
                    replay_loader=functools.partial(_replay_of, future))
 
 
@@ -702,17 +697,19 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     — all trace-collection traversals, all live trials, the Ethernet
     baseline — is queued up front (longest first), and each scenario's
     modulated trials are queued the moment its distillations resolve,
-    carrying the distilled replay by store reference when it came back
-    through the store.  The backend therefore never idles at a phase
-    barrier; cheap scenarios' modulated trials join the queue while
-    expensive collections are still in flight.
+    carrying the distilled replay by store reference.  The backend
+    therefore never idles at a phase barrier; cheap scenarios'
+    modulated trials join the queue while expensive collections are
+    still in flight.
 
-    A distillation is read only when something needs it: a modulated
-    trial of its traversal that has to execute, the metrics records of
-    a sweep with ``obs``, or a caller reading a
+    A distillation is decoded only when something reads it: a
+    modulated trial of its traversal, in the process that runs the
+    trial and for that trial alone, the metrics records of a sweep with
+    ``obs``, or a caller reading a
     :attr:`ScenarioValidation.distillations` entry, which is decoded on
     first access (and stays readable after the executor has shut
-    down).  A warm rerun therefore decodes no distilled trace.
+    down).  A warm rerun therefore decodes no distilled trace, and a
+    serial sweep holds none between its trials.
 
     The delay-compensation constant is measured once, in the parent,
     and shipped to every worker — exactly like the serial harness,

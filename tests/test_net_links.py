@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import (
     Bridge,
+    DropTailQueue,
     EthernetDevice,
     EthernetSegment,
     IPHeader,
@@ -101,6 +102,14 @@ def test_device_hooks_see_both_directions():
 # ----------------------------------------------------------------------
 # Loopback
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("device_cls", [EthernetDevice, LinkDevice])
+def test_device_keeps_the_empty_queue_it_is_given(device_cls):
+    queue = DropTailQueue(max_packets=3, name="given")
+    device = device_cls(Simulator(), "d0", "10.0.0.1", queue=queue)
+    assert device.queue is queue
+    assert device_cls(Simulator(), "d1", "10.0.0.2").queue.max_packets == 100
+
+
 def test_loopback_delivers_to_self():
     sim = Simulator()
     lo = LoopbackDevice(sim)

@@ -18,6 +18,7 @@ from repro.net import (
     WaveLANDevice,
     WirelessMedium,
 )
+from repro.net import wavelan
 from repro.net.packet import POOL
 from repro.sim import RngStreams, Simulator
 
@@ -73,6 +74,13 @@ def test_default_profile_is_perfect():
     c = ChannelProfile().conditions(123.0)
     assert c.loss_prob_up == 0.0
     assert c.bandwidth_factor == 1.0
+
+
+def test_default_channel_is_one_shared_object():
+    # Stations on the default profile (SynRGen cross traffic) or on
+    # none read it once per frame; no frame allocates conditions.
+    assert ChannelProfile().conditions(0.0) is wavelan._PERFECT_CHANNEL
+    assert ChannelProfile().conditions(99.0) is wavelan._PERFECT_CHANNEL
 
 
 def test_piecewise_interpolates_linearly():
@@ -246,6 +254,18 @@ def test_double_attach_rejected():
     medium, mobile, _ = _pair(sim)
     with pytest.raises(ValueError):
         medium.attach(mobile)
+
+
+def test_radio_keeps_the_empty_queue_it_is_given():
+    # An empty queue is falsy (it has a length); it is still the one
+    # the radio sends from.
+    queue = DropTailQueue(max_packets=7, name="given")
+    radio = WaveLANDevice(Simulator(), "wl0", "10.0.0.2", queue=queue)
+    assert radio.queue is queue
+
+
+def test_radio_default_queue_holds_100_frames():
+    assert WaveLANDevice(Simulator(), "x", "1").queue.max_packets == 100
 
 
 # ----------------------------------------------------------------------

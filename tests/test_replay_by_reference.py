@@ -17,7 +17,10 @@ memory):
   the cold results, and a corrupted kept blob is recomputed; results
   read during the sweep give up their objects for those bytes too;
 * the distill trial, which collects only the records distillation
-  reads, equals distilling the full trace, for all four scenarios.
+  reads, equals distilling the full trace, for all four scenarios;
+* a serial sweep takes its replays by reference too: at most one
+  decoded distillation is alive while a modulated trial runs, none
+  when the sweep returns, and a wider ``seeds`` sweep holds no more.
 """
 
 import gc
@@ -38,6 +41,7 @@ from repro.validation import (
     collect_trace,
     run_validation,
 )
+from repro.validation import parallel
 from repro.validation.harness import run_modulated_trial
 from repro.validation.parallel import TrialExecutor, TrialSpec, execute_trial
 
@@ -123,6 +127,24 @@ def test_memo_hit_distillations_reach_workers_undecoded(
     assert len(distill_decodes) == 4
     distilled(warm.validations)
     assert len(distill_decodes) == 8
+
+
+def test_cache_attached_to_running_workers_hands_its_hits_over(
+        serial_table, tmp_path):
+    # A cache holding the distillations but no modulated result ...
+    cache = tmp_path / "cache"
+    sweep(workers=1, cache=cache)
+    for meta in (cache / "objects").glob("*/*.json"):
+        if json.loads(meta.read_text())["stage"] == "modulated":
+            meta.with_suffix(".rba").unlink()
+    with TrialExecutor(workers=2) as exe:
+        # ... attached after the workers started over the scratch store:
+        # the modulated trials still run there, reading a copy.
+        sweep(executor=exe, scenarios=SCENARIOS[:1])
+        warm = sweep(executor=exe, cache=Pipeline(cache))
+    assert warm.fallback_reason is None
+    assert warm.render() == serial_table
+    assert (warm.cache_hits, warm.cache_misses) == (17, 8)
 
 
 # ----------------------------------------------------------------------
@@ -241,3 +263,56 @@ def test_distill_trial_equals_distilling_the_full_trace(scenario_cls):
     # The projection is the records distillation reads, in trace order.
     kept = collect_trace(scenario, 2, 1, keep=Distiller().reads)
     assert kept == [r for r in full if Distiller().reads(r)]
+
+
+# ----------------------------------------------------------------------
+# A serial sweep holds no distillation between its trials
+# ----------------------------------------------------------------------
+def live_distillations():
+    """How many decoded distillations this process holds (a census of
+    the collector's objects)."""
+    gc.collect()
+    return sum(isinstance(o, DistillationResult) for o in gc.get_objects())
+
+
+@pytest.fixture
+def census(monkeypatch):
+    """Live distillations, beyond those alive before the test, counted
+    as each modulated trial of this process starts."""
+    base = live_distillations()
+    counts = []
+    run = parallel.run_modulated_trial
+
+    def counting_run(*args, **kwargs):
+        counts.append(live_distillations() - base)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_modulated_trial", counting_run)
+    return base, counts
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["memo", "cache"])
+def test_serial_sweep_decodes_each_replay_for_its_trial(
+        cached, census, serial_table, tmp_path):
+    base, counts = census
+    result = sweep(workers=1,
+                   cache=Pipeline(tmp_path / "cache") if cached else None)
+    # Two scenarios x two variants x two trials, all run here ...
+    assert len(counts) == 8
+    assert max(counts) <= 1
+    # ... and nothing holds a distillation once the sweep returned.
+    assert live_distillations() == base
+    assert result.render() == serial_table == sweep(workers=2).render()
+
+
+def test_wider_serial_sweep_holds_no_more_distillations(census):
+    base, counts = census
+    peaks = []
+    for seeds in (1, 2):
+        counts.clear()
+        run_validation(SCENARIOS[1], RUNNER, seed=0, trials=1, seeds=seeds,
+                       workers=1)
+        assert len(counts) == 2 * seeds
+        peaks.append(max(counts))
+        assert live_distillations() == base
+    assert peaks[1] <= peaks[0] <= 1

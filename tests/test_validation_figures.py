@@ -13,8 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.replay import QualityTuple, ReplayTrace
 from repro.validation.figures import (MB, CompensationPoint, Figure1Result,
-                                      ScenarioCharacterization,
+                                      ScenarioCharacterization, _one_ftp,
                                       figure1_slow_network_check)
 from repro.scenarios.base import Checkpoint, Scenario
 
@@ -144,3 +145,11 @@ def test_slow_network_independence_check():
     # Ethernet cost; the shift stays bounded by that cost's share.
     assert gap_comp < gap_raw
     assert gap_raw - gap_comp < 0.06
+
+
+def test_figure1_trial_past_the_cap_says_so():
+    # 10 ms per byte: 300 KB would take over 3000 s, past the 2400 s cap.
+    slow = ReplayTrace([QualityTuple(d=1.0, F=0.0, Vb=0.01, Vr=0.0,
+                                     L=0.0)] * 4, name="slow")
+    with pytest.raises(RuntimeError, match="did not complete within 2400"):
+        _one_ftp(slow, "store", 300_000, False, 0.0, seed=0)
